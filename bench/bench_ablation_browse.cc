@@ -1,14 +1,13 @@
-// Ablation: incremental nearest-neighbor strategies. The k-doubling
-// wrapper (NearestIterator) re-runs Algorithm 6 on each growth; the native
-// best-first DistanceBrowser pays only for what the consumer pulls. The
-// sweep varies how many neighbors are actually consumed.
+// Ablation: incremental nearest-neighbor browsing. The best-first
+// DistanceBrowser pays only for what the consumer pulls; one-shot
+// Algorithm 6 must fix k up front. The sweep varies how many neighbors
+// are actually consumed.
 
 #include <cstdio>
 
 #include "bench_util.h"
 #include "core/query/incremental_knn.h"
 #include "core/query/knn_query.h"
-#include "core/query/nearest_iterator.h"
 
 using namespace indoor;
 using namespace indoor::bench;
@@ -16,18 +15,14 @@ using namespace indoor::bench;
 int main() {
   PrintTitle("Ablation: incremental kNN strategies "
              "(10 floors, 20K objects, 100 queries)");
-  std::printf("%-12s%18s%18s%16s\n", "consumed", "k-doubling",
-              "best-first", "one-shot kNN");
+  std::printf("%-12s%18s%16s\n", "consumed", "best-first",
+              "one-shot kNN");
 
   const auto engine = MakeEngine(10, 20000, /*seed=*/99);
   Rng rng(100);
   const auto queries = GenerateQueryPositions(engine->plan(), 100, &rng);
 
   for (size_t consume : {1u, 10u, 100u, 1000u}) {
-    const double doubling = AvgMillis(queries.size(), [&](size_t i) {
-      NearestIterator it(engine->index(), queries[i]);
-      for (size_t c = 0; c < consume && it.HasNext(); ++c) it.Next();
-    });
     const double best_first = AvgMillis(queries.size(), [&](size_t i) {
       DistanceBrowser browser(engine->index(), queries[i]);
       for (size_t c = 0; c < consume && browser.HasNext(); ++c) {
@@ -37,14 +32,13 @@ int main() {
     const double one_shot = AvgMillis(queries.size(), [&](size_t i) {
       KnnQuery(engine->index(), queries[i], consume);
     });
-    std::printf("%-12zu%15.3f ms%15.3f ms%13.3f ms\n", consume, doubling,
-                best_first, one_shot);
+    std::printf("%-12zu%15.3f ms%13.3f ms\n", consume, best_first,
+                one_shot);
   }
   std::printf("\nReading: the best-first browser wins at every pull count "
               "— it also beats one-shot Algorithm 6 for large k, because "
               "the collector's bound only prunes once k results exist, "
               "while best-first never examines an entry below the k-th "
-              "distance frontier. The k-doubling wrapper pays for its "
-              "re-computations.\n");
+              "distance frontier.\n");
   return 0;
 }

@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/distance/matrix_distance.h"
 #include "core/query/batch_executor.h"
 #include "core/query/knn_query.h"
 #include "core/query/query_cache.h"

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "core/query/nearest_iterator.h"
+#include "core/query/incremental_knn.h"
 #include "gen/building_generator.h"
 #include "tracking/monitor.h"
 #include "util/metrics.h"
@@ -79,7 +79,7 @@ int main() {
 
   // Dispatch: browse guards by increasing walking distance until we find
   // three outside the zone (incremental NN, no k guessed up front).
-  NearestIterator it(index, zone_center);
+  DistanceBrowser it(index, zone_center);
   std::printf("\nNearest people outside the zone (for dispatch):\n");
   int dispatched = 0;
   while (it.HasNext() && dispatched < 3) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/distance/d2d_runner.h"
+#include "core/distance/matrix_distance.h"
 #include "core/distance/query_scratch.h"
 #include "core/query/query_cache.h"
 #include "util/metrics.h"
@@ -30,39 +31,13 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
       << "hierarchy was built for a different plan";
   scratch = &ResolveQueryScratch(scratch);
   const ScratchDecayGuard decay_guard(scratch);
-  const Partition& source_part = plan.partition(vs);
-  const Partition& target_part = plan.partition(vt);
-  double best = kInfDistance;
-  if (vs == vt) {
-    best = source_part.IntraDistance(ps, pt, &scratch->geo);
-  }
-  // Entry/exit legs: the exact code of Pt2PtDistanceMatrix, so every leg
-  // value is bit-identical to the flat path's (with or without a cache).
-  const auto& dest_doors = plan.EnterDoors(vt);
-  auto& dest_leg = scratch->dst_leg;
-  dest_leg.resize(dest_doors.size());
-  if (cache != nullptr) {
-    cache->FieldLegs(FieldKind::kEnterFrom, vt, pt, dest_doors,
-                     &scratch->geo, dest_leg.data());
-  } else {
-    for (size_t j = 0; j < dest_doors.size(); ++j) {
-      dest_leg[j] = target_part.IntraDistance(
-          plan.door(dest_doors[j]).Midpoint(), pt, &scratch->geo);
-    }
-  }
+  // Entry/exit legs: shared with Pt2PtDistanceMatrix, so every leg value
+  // is bit-identical to the flat path's (with or without a cache).
+  double best = Pt2PtEndpointLegs(plan, vs, ps, vt, pt, scratch, cache);
   const auto& src_doors = plan.LeaveDoors(vs);
-  auto& src_leg = scratch->src_leg;
-  src_leg.resize(src_doors.size());
-  if (cache != nullptr) {
-    cache->FieldLegs(FieldKind::kLeaveFrom, vs, ps, src_doors, &scratch->geo,
-                     src_leg.data());
-  } else {
-    auto& mids = scratch->geo.points;
-    mids.clear();
-    for (DoorId ds : src_doors) mids.push_back(plan.door(ds).Midpoint());
-    source_part.IntraDistancesToMany(ps, mids, &scratch->geo,
-                                     src_leg.data());
-  }
+  const auto& dest_doors = plan.EnterDoors(vt);
+  const auto& src_leg = scratch->src_leg;
+  const auto& dest_leg = scratch->dst_leg;
 
   // Pass 1: shared-cell pairs straight from the blocks (each d bit-equal
   // to Md2d, each total the same (leg1 + d) + leg2 left-fold as the flat

@@ -9,24 +9,14 @@
 
 namespace indoor {
 
-double Pt2PtDistanceMatrix(const FloorPlan& plan,
-                           const DistanceMatrix& matrix, PartitionId vs,
-                           const Point& ps, PartitionId vt, const Point& pt,
-                           QueryScratch* scratch, const QueryCache* cache) {
-  INDOOR_LATENCY_SPAN("pt2pt_matrix", "query.pt2pt_matrix.latency_ns");
-  qlog::QueryLogScope qscope(qlog::RecordKind::kDistance, ps.x, ps.y, pt.x,
-                             pt.y, 0.0, 0, scratch != nullptr);
-  qscope.SetHost(vs);
-  INDOOR_CHECK(matrix.door_count() == plan.door_count())
-      << "matrix was built for a different plan";
-  scratch = &ResolveQueryScratch(scratch);
-  const ScratchDecayGuard decay_guard(scratch);
+double Pt2PtEndpointLegs(const FloorPlan& plan, PartitionId vs,
+                         const Point& ps, PartitionId vt, const Point& pt,
+                         QueryScratch* scratch, const QueryCache* cache) {
   const Partition& source_part = plan.partition(vs);
   const Partition& target_part = plan.partition(vt);
-  double best = kInfDistance;
-  if (vs == vt) {
-    best = source_part.IntraDistance(ps, pt, &scratch->geo);
-  }
+  const double direct = vs == vt
+                            ? source_part.IntraDistance(ps, pt, &scratch->geo)
+                            : kInfDistance;
   // Destination legs keep the historical door->pt orientation (one solve
   // each, reusing the scratch buffers); the source legs below share a single
   // batched solve rooted at ps. With a cache, both fields read through the
@@ -59,6 +49,26 @@ double Pt2PtDistanceMatrix(const FloorPlan& plan,
     source_part.IntraDistancesToMany(ps, mids, &scratch->geo,
                                      src_leg.data());
   }
+  return direct;
+}
+
+double Pt2PtDistanceMatrix(const FloorPlan& plan,
+                           const DistanceMatrix& matrix, PartitionId vs,
+                           const Point& ps, PartitionId vt, const Point& pt,
+                           QueryScratch* scratch, const QueryCache* cache) {
+  INDOOR_LATENCY_SPAN("pt2pt_matrix", "query.pt2pt_matrix.latency_ns");
+  qlog::QueryLogScope qscope(qlog::RecordKind::kDistance, ps.x, ps.y, pt.x,
+                             pt.y, 0.0, 0, scratch != nullptr);
+  qscope.SetHost(vs);
+  INDOOR_CHECK(matrix.door_count() == plan.door_count())
+      << "matrix was built for a different plan";
+  scratch = &ResolveQueryScratch(scratch);
+  const ScratchDecayGuard decay_guard(scratch);
+  double best = Pt2PtEndpointLegs(plan, vs, ps, vt, pt, scratch, cache);
+  const auto& src_doors = plan.LeaveDoors(vs);
+  const auto& dest_doors = plan.EnterDoors(vt);
+  const auto& src_leg = scratch->src_leg;
+  const auto& dest_leg = scratch->dst_leg;
   INDOOR_METRICS_ONLY(uint64_t rows_fetched = 0;)
   for (size_t i = 0; i < src_doors.size(); ++i) {
     const double leg1 = src_leg[i];

@@ -27,6 +27,14 @@ double Pt2PtDistanceMatrix(const PartitionLocator& locator,
                            const Point& pt, QueryScratch* scratch = nullptr,
                            const QueryCache* cache = nullptr);
 
+/// The endpoint half of every pt2pt solve with known hosts: fills
+/// scratch->src_leg (ps -> LeaveDoors(vs)) and scratch->dst_leg
+/// (EnterDoors(vt) -> pt) and returns the direct distance when vs == vt
+/// (else kInfDistance). `scratch` must be non-null.
+double Pt2PtEndpointLegs(const FloorPlan& plan, PartitionId vs,
+                         const Point& ps, PartitionId vt, const Point& pt,
+                         QueryScratch* scratch, const QueryCache* cache);
+
 /// Variant with both host partitions already known (e.g. stored objects).
 double Pt2PtDistanceMatrix(const FloorPlan& plan,
                            const DistanceMatrix& matrix, PartitionId vs,

@@ -19,7 +19,7 @@
 #include "core/index/object_store.h"
 #include "core/model/distance_graph.h"
 #include "core/model/locator.h"
-#include "util/timeseries.h"
+#include "util/partition_hotness.h"
 
 namespace indoor {
 
@@ -69,9 +69,10 @@ struct IndexOptions {
   /// border-door clique, with bounded Dijkstra expansions at query time.
   /// Every query result stays bitwise identical to the flat engine (the
   /// flat path remains the default and the oracle); only build time,
-  /// memory, and per-query work change. Query paths that still require
-  /// the dense matrices (distance joins, incremental kNN, the reference
-  /// implementations) reject with a CHECK under this option.
+  /// memory, and per-query work change. Queries reach the door graph
+  /// through DoorDistanceOracle, so every query kind answers under this
+  /// option; only the reference implementations and the approximate-kNN
+  /// tier need the dense matrices (d2d_matrix() CHECK-fails here).
   bool use_hierarchy = false;
   /// Target partitions per hierarchy cell (build-time clustering knob).
   /// Smaller cells = less block memory but more border doors; the total
@@ -132,16 +133,13 @@ class IndexFramework {
     return options_.use_bucket_queue ? QueueKind::kBucket : QueueKind::kHeap;
   }
 
+  /// The flat matrices; queries reach them through DoorDistanceOracle.
   const DistanceMatrix& d2d_matrix() const {
-    INDOOR_CHECK(has_flat_matrix())
-        << "flat Md2d disabled by IndexOptions::use_hierarchy; this query "
-           "path has no hierarchy lowering";
+    INDOOR_CHECK(has_flat_matrix()) << "no Md2d under use_hierarchy";
     return d2d_matrix_;
   }
   const DistanceIndexMatrix& index_matrix() const {
-    INDOOR_CHECK(has_flat_matrix())
-        << "flat Midx disabled by IndexOptions::use_hierarchy; this query "
-           "path has no hierarchy lowering";
+    INDOOR_CHECK(has_flat_matrix()) << "no Midx under use_hierarchy";
     return index_matrix_;
   }
 
@@ -196,8 +194,7 @@ class IndexFramework {
     DistanceContext ctx(graph_, locator_);
     ctx.cache = query_cache_.get();
     ctx.landmarks = landmarks();
-    ctx.queue =
-        options_.use_bucket_queue ? QueueKind::kBucket : QueueKind::kHeap;
+    ctx.queue = queue_kind();
     return ctx;
   }
 

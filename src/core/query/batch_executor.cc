@@ -6,8 +6,7 @@
 #include <optional>
 #include <string>
 
-#include "core/distance/hierarchy_distance.h"
-#include "core/distance/matrix_distance.h"
+#include "core/query/door_distance_oracle.h"
 #include "core/query/knn_query.h"
 #include "core/query/query_cache.h"
 #include "core/query/range_query.h"
@@ -60,16 +59,9 @@ void BatchExecutor::Execute(const QueryRequest& request, PartitionId host,
       const auto target = CachedHostPartition(
           index_->query_cache(), index_->locator(), request.b);
       if (!target.ok()) return;
-      if (!index_->has_flat_matrix()) {
-        result->distance = Pt2PtDistanceHierarchy(
-            index_->plan(), index_->graph(), index_->hierarchy_index(), host,
-            request.a, target.value(), request.b, scratch,
-            index_->query_cache(), index_->queue_kind());
-      } else {
-        result->distance = Pt2PtDistanceMatrix(
-            index_->plan(), index_->d2d_matrix(), host, request.a,
-            target.value(), request.b, scratch, index_->query_cache());
-      }
+      result->distance = DoorDistanceOracle(*index_).Pt2Pt(
+          host, request.a, target.value(), request.b, scratch,
+          index_->query_cache());
       break;
     }
     case QueryRequest::Kind::kRange:

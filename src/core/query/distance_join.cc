@@ -1,37 +1,21 @@
 #include "core/query/distance_join.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "core/distance/matrix_distance.h"
+#include "core/distance/query_scratch.h"
+#include "core/query/door_distance_oracle.h"
+#include "util/metrics.h"
 
 namespace indoor {
-namespace {
-
-/// Door-level lower bound between two partitions (0 when P == Q).
-double PartitionLowerBound(const IndexFramework& index, PartitionId p,
-                           PartitionId q) {
-  if (p == q) return 0.0;
-  const FloorPlan& plan = index.plan();
-  const DistanceMatrix& md2d = index.d2d_matrix();
-  double lb = kInfDistance;
-  for (DoorId ds : plan.LeaveDoors(p)) {
-    for (DoorId dt : plan.EnterDoors(q)) {
-      lb = std::min(lb, md2d.At(ds, dt));
-    }
-  }
-  return lb;
-}
-
-}  // namespace
 
 double ObjectPairDistance(const IndexFramework& index, const IndoorObject& a,
                           const IndoorObject& b) {
-  const FloorPlan& plan = index.plan();
-  const DistanceMatrix& md2d = index.d2d_matrix();
-  return std::min(Pt2PtDistanceMatrix(plan, md2d, a.partition, a.position,
-                                      b.partition, b.position),
-                  Pt2PtDistanceMatrix(plan, md2d, b.partition, b.position,
-                                      a.partition, a.position));
+  const DoorDistanceOracle oracle(index);
+  return std::min(oracle.Pt2Pt(a.partition, a.position, b.partition,
+                               b.position, nullptr, nullptr),
+                  oracle.Pt2Pt(b.partition, b.position, a.partition,
+                               a.position, nullptr, nullptr));
 }
 
 std::vector<JoinPair> DistanceJoin(const IndexFramework& index, double r) {
@@ -39,40 +23,57 @@ std::vector<JoinPair> DistanceJoin(const IndexFramework& index, double r) {
   if (r < 0) return result;
   const FloorPlan& plan = index.plan();
   const ObjectStore& store = index.objects();
+  const DoorPartitionTable& dpt = index.dpt();
+  const size_t np = plan.partition_count();
 
   // Group objects by partition.
-  std::vector<std::vector<ObjectId>> by_partition(plan.partition_count());
+  std::vector<std::vector<ObjectId>> by_partition(np);
   for (const IndoorObject& obj : store.objects()) {
     by_partition[obj.partition].push_back(obj.id);
   }
-  std::vector<PartitionId> occupied;
-  for (PartitionId v = 0; v < plan.partition_count(); ++v) {
-    if (!by_partition[v].empty()) occupied.push_back(v);
-  }
 
-  // Partition-pair loop with the door-level lower bound as the filter
-  // step; the refinement computes exact symmetric distances per object
-  // pair.
-  for (size_t i = 0; i < occupied.size(); ++i) {
-    for (size_t j = i; j < occupied.size(); ++j) {
-      const PartitionId p = occupied[i];
-      const PartitionId q = occupied[j];
-      // Symmetric bound: either direction may realize the minimum.
-      const double lb = std::min(PartitionLowerBound(index, p, q),
-                                 PartitionLowerBound(index, q, p));
-      if (lb > r) continue;
-      const auto& objs_p = by_partition[p];
-      const auto& objs_q = by_partition[q];
-      for (size_t ai = 0; ai < objs_p.size(); ++ai) {
-        const IndoorObject& a = store.object(objs_p[ai]);
-        const size_t b_begin = (p == q) ? ai + 1 : 0;
-        for (size_t bi = b_begin; bi < objs_q.size(); ++bi) {
-          const IndoorObject& b = store.object(objs_q[bi]);
-          const double d = ObjectPairDistance(index, a, b);
-          if (d <= r) {
-            JoinPair pair{std::min(a.id, b.id), std::max(a.id, b.id), d};
-            result.push_back(pair);
-          }
+  // Filter step: the occupied partition pairs {p, q} joined by a door path
+  // of length <= r from a leave door of one to an enter door of the other,
+  // i.e. whose door-level lower bound min d(ds -> dt) does not exceed r
+  // (the intra-partition legs are non-negative). One range step per leave
+  // door finds them; every occupied partition pairs with itself.
+  std::vector<std::pair<PartitionId, PartitionId>> near;
+  std::vector<PartitionId> reached;
+  DoorDistanceOracle oracle(index);
+  DoorDijkstraScratch* door = &TlsQueryScratch().door;
+  for (PartitionId p = 0; p < np; ++p) {
+    if (by_partition[p].empty()) continue;
+    reached.assign(1, p);
+    for (const DoorId ds : plan.LeaveDoors(p)) {
+      oracle.VisitWithin(ds, r, door, [&](DoorId dt, double) {
+        for (const PartitionId q : {dpt[dt].part1, dpt[dt].part2}) {
+          if (q != kInvalidId && !by_partition[q].empty()) reached.push_back(q);
+        }
+      });
+    }
+    std::sort(reached.begin(), reached.end());
+    reached.erase(std::unique(reached.begin(), reached.end()), reached.end());
+    for (const PartitionId q : reached) {
+      near.emplace_back(std::min(p, q), std::max(p, q));
+    }
+  }
+  INDOOR_METRICS_ONLY(oracle.FlushStats();)
+  std::sort(near.begin(), near.end());
+  near.erase(std::unique(near.begin(), near.end()), near.end());
+
+  // Refinement: exact symmetric distances per object pair.
+  for (const auto& [p, q] : near) {
+    const auto& objs_p = by_partition[p];
+    const auto& objs_q = by_partition[q];
+    for (size_t ai = 0; ai < objs_p.size(); ++ai) {
+      const IndoorObject& a = store.object(objs_p[ai]);
+      const size_t b_begin = (p == q) ? ai + 1 : 0;
+      for (size_t bi = b_begin; bi < objs_q.size(); ++bi) {
+        const IndoorObject& b = store.object(objs_q[bi]);
+        const double d = ObjectPairDistance(index, a, b);
+        if (d <= r) {
+          JoinPair pair{std::min(a.id, b.id), std::max(a.id, b.id), d};
+          result.push_back(pair);
         }
       }
     }

@@ -7,11 +7,12 @@
 // With one-way doors the walking distance is asymmetric; a pair qualifies
 // when min(d(a->b), d(b->a)) <= r and that minimum is reported.
 //
-// Evaluation uses the pre-computed Md2d for partition-level pruning: for
+// Partition-level pruning, on any engine via the door-distance oracle: for
 // partitions P, Q the door-level bound min over (ds in P2D_leave(P),
-// dt in P2D_enter(Q)) of Md2d[ds, dt] lower-bounds every inter-object
-// distance (the intra-partition legs are non-negative), so partition pairs
-// beyond r are skipped wholesale before any object is touched.
+// dt in P2D_enter(Q)) of d(ds -> dt) lower-bounds every inter-object
+// distance (the intra-partition legs are non-negative); one range step
+// per leave door of P finds every Q within r, and partition pairs beyond r
+// in both directions are skipped before any object is touched.
 
 #ifndef INDOOR_CORE_QUERY_DISTANCE_JOIN_H_
 #define INDOOR_CORE_QUERY_DISTANCE_JOIN_H_
@@ -38,7 +39,7 @@ struct JoinPair {
 std::vector<JoinPair> DistanceJoin(const IndexFramework& index, double r);
 
 /// Exact symmetric walking distance min(d(a->b), d(b->a)) between two
-/// stored objects, via Md2d (used by the join and handy on its own).
+/// stored objects (used by the join and handy on its own).
 double ObjectPairDistance(const IndexFramework& index, const IndoorObject& a,
                           const IndoorObject& b);
 

@@ -3,34 +3,37 @@
 namespace indoor {
 
 DistanceBrowser::DistanceBrowser(const IndexFramework& index, const Point& q)
-    : index_(&index), query_(q) {
+    : index_(&index) {
   const auto host = index.locator().GetHostPartition(q);
-  if (!host.ok()) return;
-  valid_ = true;
+  if (!host.ok()) return;  // the heap stays empty
   const PartitionId v = host.value();
   // The host partition's own cells, anchored at the query itself.
   PushCells(v, q, 0.0);
-  // One row cursor per leaveable door of the host partition; all distV
+  // One door cursor per leaveable door of the host partition; all distV
   // legs come from one batched geodesic solve rooted at q.
   const FloorPlan& plan = index.plan();
+  const DoorDistanceOracle oracle(index);
   const auto& src_doors = plan.LeaveDoors(v);
   auto& src_leg = scratch_.src_leg;
   src_leg.resize(src_doors.size());
   index.locator().DistVMany(v, q, src_doors, &scratch_.geo, src_leg.data());
   for (size_t i = 0; i < src_doors.size(); ++i) {
-    const DoorId ds = src_doors[i];
     const double base = src_leg[i];
     if (base == kInfDistance) continue;
-    Entry entry;
-    entry.kind = Kind::kRowCursor;
-    entry.row_door = ds;
-    entry.row_pos = 0;
-    entry.row_base = base;
-    // Midx[ds][0] is ds itself at Md2d 0, so the initial key is base.
-    entry.key = base + index.d2d_matrix().At(
-                           ds, index.index_matrix().At(ds, 0));
-    heap_.push(entry);
+    cursors_.push_back(oracle.Cursor(src_doors[i], &scratch_.door));
+    PushDoor(cursors_.size() - 1, base);
   }
+}
+
+void DistanceBrowser::PushDoor(size_t c, double base) {
+  Entry entry;
+  entry.kind = Kind::kDoor;
+  entry.cursor = c;
+  entry.base = base;
+  double d;
+  if (!cursors_[c].Next(&entry.door, &d)) return;
+  entry.key = base + d;
+  heap_.push(entry);
 }
 
 void DistanceBrowser::PushCells(PartitionId partition, const Point& anchor,
@@ -45,7 +48,7 @@ void DistanceBrowser::PushCells(PartitionId partition, const Point& anchor,
     entry.partition = partition;
     entry.cell = c;
     entry.anchor = anchor;
-    entry.anchor_base = base;
+    entry.base = base;
     entry.key = base + bucket.CellRectAt(c).MinDistance(anchor) * scale;
     heap_.push(entry);
   }
@@ -63,30 +66,17 @@ void DistanceBrowser::Settle() {
       return;  // next object ready
     }
     heap_.pop();
-    if (top.kind == Kind::kRowCursor) {
-      const DoorId dj =
-          index_->index_matrix().At(top.row_door, top.row_pos);
-      const double dist_dj = top.key;  // row_base + Md2d[row_door, dj]
-      // Enter dj's partitions unless a cheaper entry already did.
+    if (top.kind == Kind::kDoor) {
+      // Enter the door's partitions unless a cheaper entry already did.
+      const DoorId dj = top.door;
       const DptRecord& rec = index_->dpt()[dj];
       for (PartitionId part : {rec.part1, rec.part2}) {
         if (part == kInvalidId) continue;
         const uint64_t tag = (static_cast<uint64_t>(part) << 32) | dj;
         if (!partitions_entered_.insert(tag).second) continue;
-        PushCells(part, plan.door(dj).Midpoint(), dist_dj);
+        PushCells(part, plan.door(dj).Midpoint(), top.key);
       }
-      // Advance the cursor.
-      const size_t next = top.row_pos + 1;
-      if (next < plan.door_count()) {
-        const DoorId dn = index_->index_matrix().At(top.row_door, next);
-        const double md = index_->d2d_matrix().At(top.row_door, dn);
-        if (md != kInfDistance) {
-          Entry entry = top;
-          entry.row_pos = next;
-          entry.key = top.row_base + md;
-          heap_.push(entry);
-        }
-      }
+      PushDoor(top.cursor, top.base);
     } else {  // kCell
       const Partition& part = plan.partition(top.partition);
       const GridBucket& bucket = index_->objects().bucket(top.partition);
@@ -110,7 +100,7 @@ void DistanceBrowser::Settle() {
         Entry entry;
         entry.kind = Kind::kObject;
         entry.object = id;
-        entry.key = top.anchor_base + leg;
+        entry.key = top.base + leg;
         heap_.push(entry);
       }
     }
@@ -118,7 +108,6 @@ void DistanceBrowser::Settle() {
 }
 
 bool DistanceBrowser::HasNext() {
-  if (!valid_) return false;
   Settle();
   return !heap_.empty();
 }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/distance/d2d_runner.h"
 #include "core/distance/query_scratch.h"
+#include "core/query/door_distance_oracle.h"
 #include "core/query/query_cache.h"
 #include "core/query/result_digest.h"
 #include "util/metrics.h"
@@ -320,6 +320,17 @@ bool ApproxKnnServe(const IndexFramework& index, const ApproxKnnIndex& approx,
   return true;
 }
 
+/// Records a served answer (result-size histogram, query-log digest).
+std::vector<Neighbor> Served(std::vector<Neighbor> result,
+                             qlog::QueryLogScope* qscope) {
+  INDOOR_HISTOGRAM_RECORD("query.knn.results", result.size());
+  if (qscope->active()) {
+    qscope->SetResult(static_cast<uint32_t>(result.size()),
+                      qdigest::KnnDigest(result));
+  }
+  return result;
+}
+
 }  // namespace
 
 std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
@@ -349,21 +360,15 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
           ApproxKnnServe(index, *approx, q, v, k, factor, &ascratch,
                          &result)) {
         INDOOR_COUNTER_INC("knn.approx.served");
-        INDOOR_HISTOGRAM_RECORD("query.knn.results", result.size());
-        if (qscope.active()) {
-          qscope.SetResult(static_cast<uint32_t>(result.size()),
-                           qdigest::KnnDigest(result));
-        }
-        return result;
+        return Served(std::move(result), &qscope);
       }
       INDOOR_COUNTER_INC("knn.approx.exact_fallback");
     }
   }
-  // Result kinds keep cached entries of the three door-expansion engines
-  // (Midx scan / full-row scan / hierarchy) apart; the repair machinery is
-  // engine-independent (gates + intra-partition geometry only).
-  const uint8_t result_kind =
-      !index.has_flat_matrix() ? 5 : (options.use_index_matrix ? 1 : 3);
+  DoorDistanceOracle oracle(index, options.use_index_matrix);
+  // The repair machinery is engine-independent (gates + intra-partition
+  // geometry only); the kind only keeps the engines' entries apart.
+  const uint8_t result_kind = oracle.knn_result_kind();
   if (cache != nullptr) {
     std::vector<Neighbor> cached;
     StaleResult& stale = TlsStaleResult();
@@ -371,12 +376,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
       case ResultProbe::kHit:
         // The stored list carries up to kKnnRepairSpares extras; serve k.
         if (cached.size() > k) cached.resize(k);
-        INDOOR_HISTOGRAM_RECORD("query.knn.results", cached.size());
-        if (qscope.active()) {
-          qscope.SetResult(static_cast<uint32_t>(cached.size()),
-                           qdigest::KnnDigest(cached));
-        }
-        return cached;
+        return Served(std::move(cached), &qscope);
       case ResultProbe::kStale: {
         // Patch (or revalidate) instead of re-solving: only the moved
         // objects can enter or leave the cached top-k.
@@ -386,13 +386,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
           // Persist the full (spare-carrying) patched list, serve k.
           cache->CommitRepairedKnn(q, k, result_kind, stale.neighbors);
           if (stale.neighbors.size() > k) stale.neighbors.resize(k);
-          INDOOR_HISTOGRAM_RECORD("query.knn.results",
-                                  stale.neighbors.size());
-          if (qscope.active()) {
-            qscope.SetResult(static_cast<uint32_t>(stale.neighbors.size()),
-                             qdigest::KnnDigest(stale.neighbors));
-          }
-          return std::move(stale.neighbors);
+          return Served(std::move(stale.neighbors), &qscope);
         }
         cache->CountEpochReject();
         break;  // fall through to the full search
@@ -433,7 +427,6 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
                           static_cast<uint32_t>(
                               scratch->bucket.objects_tested - hot_before);)
 
-  const size_t n = plan.door_count();
   const DoorPartitionTable& dpt = index.dpt();
 
   // Lines 4-19: expand through every leaveable door of the host partition.
@@ -443,139 +436,23 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   src_leg.resize(src_doors.size());
   CachedFieldLegs(cache, index.locator(), FieldKind::kLeaveFrom, v, q,
                   src_doors, &scratch->geo, src_leg.data());
-  if (!index.has_flat_matrix()) {
-    // Hierarchy engine. kNN is the delicate case: the collector resolves
-    // exact-distance ties at its admission boundary by OFFER ORDER, so
-    // the hierarchy must reproduce the flat Midx scan's offer sequence
-    // exactly, not just its offer set. It can: Midx rows are sorted by
-    // (distance, id) — precisely the settle order of the door Dijkstra
-    // (ties co-reside in the frontier because edge weights are positive,
-    // and both frontiers pop lexicographically) — so a bounded Dijkstra
-    // that checks the flat break condition BEFORE each offer emits the
-    // identical sequence. The push prune (offer above the current bound,
-    // which never rises) suppresses only offers the collector would
-    // reject; when it fires, the flat scan — whose offers from that point
-    // on are all at least as large — breaks at the first suppressed door,
-    // so the run's stop check fires before any post-prune offer diverges.
-    // The inf tail: when every reachable door settles unpruned, the flat
-    // scan reaches its unreachable entries (id-ordered by the stable
-    // sort) and offers r1 + inf until the break; a prune implies a finite
-    // bound, which makes the flat tail break immediately — hence the tail
-    // replay below runs exactly when no stop and no prune occurred.
-    // (The cell blocks themselves stay unused here: an adaptive collector
-    // bound cannot be served from a static block without re-deriving the
-    // offer order, so kNN always takes the bounded-run path.)
-    INDOOR_METRICS_ONLY(uint64_t runs = 0;)
+  {
     INDOOR_TRACE_SPAN("door_expansion");
     for (size_t i = 0; i < src_doors.size(); ++i) {
-      const DoorId di = src_doors[i];
       const double r1 = src_leg[i];
       if (r1 == kInfDistance) continue;
-      INDOOR_METRICS_ONLY(++runs;)
-      bool stopped = false;
-      uint64_t prunes = 0;
-      RunDoorDijkstra(
-          index.graph(), di, &scratch->door, index.queue_kind(), nullptr,
-          [&](DoorId dj, double d) {
-            if (r1 + d > collector.Bound()) {
-              stopped = true;
-              return false;
-            }
-            const double r2 = r1 + d;
+      oracle.ExpandUnderBound(
+          src_doors[i], r1, [&collector] { return collector.Bound(); },
+          &scratch->door, [&](DoorId dj, double r2) {
             SearchSide(index, dpt[dj].part1, dj, r2, &scratch->bucket,
                        &collector, deps, gates);
             SearchSide(index, dpt[dj].part2, dj, r2, &scratch->bucket,
                        &collector, deps, gates);
-            return true;
-          },
-          [&](double cand) {
-            if (r1 + cand > collector.Bound()) {
-              ++prunes;
-              return false;
-            }
-            return true;
           });
-      if (stopped || prunes != 0) continue;
-      // Unreachable-door tail of the flat scan, in ascending door id.
-      const std::vector<char>& visited = scratch->door.visited;
-      for (DoorId dj = 0; dj < n; ++dj) {
-        if (visited[dj]) continue;
-        if (r1 + kInfDistance > collector.Bound()) break;
-        SearchSide(index, dpt[dj].part1, dj, kInfDistance, &scratch->bucket,
-                   &collector, deps, gates);
-        SearchSide(index, dpt[dj].part2, dj, kInfDistance, &scratch->bucket,
-                   &collector, deps, gates);
-      }
-    }
-    INDOOR_METRICS_ONLY(
-        INDOOR_COUNTER_ADD("index.hier.knn.runs", runs);
-        FlushBucketStats(&scratch->bucket);
-        index.hotness().FlushVisits(&scratch->bucket.hot);)
-    std::vector<Neighbor> sorted = collector.Sorted();
-    if (cache != nullptr) {
-      cache->InsertKnnResult(q, k, result_kind, *deps, *gates, sorted);
-    }
-    if (sorted.size() > k) sorted.resize(k);
-    INDOOR_HISTOGRAM_RECORD("query.knn.results", sorted.size());
-    if (qscope.active()) {
-      qscope.SetResult(static_cast<uint32_t>(sorted.size()),
-                       qdigest::KnnDigest(sorted));
-    }
-    return sorted;
-  }
-  const DistanceMatrix& md2d = index.d2d_matrix();
-  INDOOR_METRICS_ONLY(uint64_t md2d_rows = 0; uint64_t midx_rows = 0;
-                      uint64_t entries = 0;)
-  {
-    INDOOR_TRACE_SPAN("door_expansion");
-    for (size_t i = 0; i < src_doors.size(); ++i) {
-      const DoorId di = src_doors[i];
-      const double r1 = src_leg[i];
-      if (r1 == kInfDistance) continue;
-      const double* row = md2d.Row(di);
-      INDOOR_METRICS_ONLY(++md2d_rows;)
-      if (options.use_index_matrix) {
-        const DoorId* order = index.index_matrix().Row(di);
-        INDOOR_METRICS_ONLY(++midx_rows;)
-        for (size_t j = 0; j < n; ++j) {
-          const DoorId dj = order[j];
-          INDOOR_METRICS_ONLY(++entries;)
-          if (r1 + row[dj] > collector.Bound()) break;
-          const double r2 = r1 + row[dj];
-          SearchSide(index, dpt[dj].part1, dj, r2, &scratch->bucket,
-                     &collector, deps, gates);
-          SearchSide(index, dpt[dj].part2, dj, r2, &scratch->bucket,
-                     &collector, deps, gates);
-        }
-      } else {
-        // The landmark lower bound (never above the exact row value) skips
-        // entries the bound comparison would reject anyway, saving the row
-        // read — identical offers reach the collector either way.
-        const LandmarkIndex* const lm = index.landmarks();
-        uint64_t lm_prunes = 0;
-        INDOOR_METRICS_ONLY(entries += n;)
-        for (DoorId dj = 0; dj < n; ++dj) {
-          if (lm != nullptr && r1 + lm->LowerBound(di, dj) > collector.Bound()) {
-            ++lm_prunes;
-            continue;
-          }
-          if (r1 + row[dj] > collector.Bound()) continue;
-          const double r2 = r1 + row[dj];
-          SearchSide(index, dpt[dj].part1, dj, r2, &scratch->bucket,
-                     &collector, deps, gates);
-          SearchSide(index, dpt[dj].part2, dj, r2, &scratch->bucket,
-                     &collector, deps, gates);
-        }
-        if (lm_prunes != 0) {
-          INDOOR_COUNTER_ADD("distance.dijkstra.prunes.landmark", lm_prunes);
-        }
-      }
     }
   }
   INDOOR_METRICS_ONLY(
-      INDOOR_COUNTER_ADD("index.md2d.row_fetches", md2d_rows);
-      INDOOR_COUNTER_ADD("index.midx.row_fetches", midx_rows);
-      INDOOR_COUNTER_ADD("index.scan.entries", entries);
+      oracle.FlushStats();
       FlushBucketStats(&scratch->bucket);
       index.hotness().FlushVisits(&scratch->bucket.hot);)
   std::vector<Neighbor> sorted = collector.Sorted();
@@ -583,12 +460,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
     cache->InsertKnnResult(q, k, result_kind, *deps, *gates, sorted);
   }
   if (sorted.size() > k) sorted.resize(k);
-  INDOOR_HISTOGRAM_RECORD("query.knn.results", sorted.size());
-  if (qscope.active()) {
-    qscope.SetResult(static_cast<uint32_t>(sorted.size()),
-                     qdigest::KnnDigest(sorted));
-  }
-  return sorted;
+  return Served(std::move(sorted), &qscope);
 }
 
 }  // namespace indoor

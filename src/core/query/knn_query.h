@@ -16,8 +16,8 @@ struct QueryScratch;
 /// Query knobs.
 struct KnnQueryOptions {
   /// Use Midx to scan doors nearest-first with early termination; when
-  /// false the entire Md2d row is examined (paper Fig. 9's "without d2d
-  /// index" configuration).
+  /// false the entire Md2d row is examined (Fig. 9's "without d2d index").
+  /// Ignored under IndexOptions::use_hierarchy.
   bool use_index_matrix = true;
   /// Serve from the approximate tier (core/index/approx_knn.h) when the
   /// framework opted in (IndexOptions::approx_knn) and the embeddings are

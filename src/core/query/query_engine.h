@@ -8,10 +8,9 @@
 #include <memory>
 #include <span>
 
-#include "core/distance/hierarchy_distance.h"
-#include "core/distance/matrix_distance.h"
 #include "core/distance/shortest_path.h"
 #include "core/query/batch_executor.h"
+#include "core/query/door_distance_oracle.h"
 #include "core/query/knn_query.h"
 #include "core/query/query_cache.h"
 #include "core/query/range_query.h"
@@ -83,23 +82,16 @@ class QueryEngine {
   /// not indoors.
   double Distance(const Point& ps, const Point& pt,
                   QueryScratch* scratch = nullptr) const {
-    if (!index_->has_flat_matrix()) {
-      return Pt2PtDistanceHierarchy(index_->locator(), index_->graph(),
-                                    index_->hierarchy_index(), ps, pt,
-                                    scratch, index_->query_cache(),
-                                    index_->queue_kind());
-    }
-    return Pt2PtDistanceMatrix(index_->locator(), index_->d2d_matrix(), ps,
-                               pt, scratch, index_->query_cache());
+    const auto vs = Locate(ps);
+    const auto vt = Locate(pt);
+    if (!vs.ok() || !vt.ok()) return kInfDistance;
+    return DoorDistanceOracle(*index_).Pt2Pt(vs.value(), ps, vt.value(), pt,
+                                              scratch, index_->query_cache());
   }
 
   /// Minimum walking distance between two doors.
   double DoorDistance(DoorId ds, DoorId dt) const {
-    if (!index_->has_flat_matrix()) {
-      return HierarchyDoorDistance(index_->graph(), index_->hierarchy_index(),
-                                   ds, dt, nullptr, index_->queue_kind());
-    }
-    return index_->d2d_matrix().At(ds, dt);
+    return DoorDistanceOracle(*index_).Distance(ds, dt);
   }
 
   /// Concrete shortest path between two positions.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/distance/d2d_runner.h"
 #include "core/distance/query_scratch.h"
+#include "core/query/door_distance_oracle.h"
 #include "core/query/query_cache.h"
 #include "core/query/result_digest.h"
 #include "util/metrics.h"
@@ -103,6 +103,17 @@ void RepairRangeResult(const IndexFramework& index, const Point& q, double r,
   }
 }
 
+/// Records a served answer (result-size histogram, query-log digest).
+std::vector<ObjectId> Served(std::vector<ObjectId> result,
+                             qlog::QueryLogScope* qscope) {
+  INDOOR_HISTOGRAM_RECORD("query.range.results", result.size());
+  if (qscope->active()) {
+    qscope->SetResult(static_cast<uint32_t>(result.size()),
+                      qdigest::RangeDigest(result));
+  }
+  return result;
+}
+
 }  // namespace
 
 std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
@@ -118,21 +129,15 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   if (!host.ok() || r < 0) return result;
   const PartitionId v = host.value();
   qscope.SetHost(v);
-  // Result kinds keep cached entries of the three door-expansion engines
-  // (Midx scan / full-row scan / hierarchy) apart; the repair machinery is
-  // engine-independent (gates + intra-partition geometry only).
-  const uint8_t result_kind =
-      !index.has_flat_matrix() ? 4 : (options.use_index_matrix ? 0 : 2);
+  DoorDistanceOracle oracle(index, options.use_index_matrix);
+  // The repair machinery is engine-independent (gates + intra-partition
+  // geometry only); the kind only keeps the engines' entries apart.
+  const uint8_t result_kind = oracle.range_result_kind();
   if (cache != nullptr) {
     StaleResult& stale = TlsStaleResult();
     switch (cache->ProbeRangeResult(q, r, result_kind, &result, &stale)) {
       case ResultProbe::kHit:
-        INDOOR_HISTOGRAM_RECORD("query.range.results", result.size());
-        if (qscope.active()) {
-          qscope.SetResult(static_cast<uint32_t>(result.size()),
-                           qdigest::RangeDigest(result));
-        }
-        return result;
+        return Served(std::move(result), &qscope);
       case ResultProbe::kStale: {
         // Patch the cached result instead of re-solving: only the moved
         // objects can change membership.
@@ -140,12 +145,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
         RepairRangeResult(index, q, r, v, &stale, &repair_scratch.geo);
         cache->CommitRepairedRange(q, r, result_kind, stale.ids);
         result = std::move(stale.ids);
-        INDOOR_HISTOGRAM_RECORD("query.range.results", result.size());
-        if (qscope.active()) {
-          qscope.SetResult(static_cast<uint32_t>(result.size()),
-                           qdigest::RangeDigest(result));
-        }
-        return result;
+        return Served(std::move(result), &qscope);
       }
       case ResultProbe::kMiss:
         break;
@@ -179,145 +179,34 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
                               scratch->bucket.objects_tested - hot_before);)
   for (const Neighbor& nb : found) result.push_back(nb.id);
 
-  const size_t n = plan.door_count();
   const DoorPartitionTable& dpt = index.dpt();
 
   // Lines 3-20: expand through every leaveable door of the host partition.
   // All q-to-door legs come from one batched geodesic solve rooted at q.
+  // The result is sorted + deduplicated below, so only the SET of
+  // (door, r2) side-searches matters, which every engine agrees on.
   const auto& src_doors = plan.LeaveDoors(v);
   auto& src_leg = scratch->src_leg;
   src_leg.resize(src_doors.size());
   CachedFieldLegs(cache, index.locator(), FieldKind::kLeaveFrom, v, q,
                   src_doors, &scratch->geo, src_leg.data());
-  if (!index.has_flat_matrix()) {
-    // Hierarchy engine: the flat scans above enumerate exactly the doors
-    // dj with Md2d[di][dj] <= r1 and hand each an r2 = r1 - Md2d[di][dj];
-    // the final result is sorted + deduplicated, so only that SET of
-    // (door, r2) side-searches matters, not its order. Two loss-free ways
-    // to enumerate it without Md2d:
-    //  * di interior to cell c and r1 strictly below its escape radius:
-    //    every door within r1 is provably a member of c, so the cell
-    //    block row IS the r1-ball (entries bit-equal to Md2d).
-    //  * otherwise a bounded Dijkstra from di: settled distances are
-    //    bit-equal to Md2d (settle-prefix), the fixed radius r1 makes the
-    //    push prune loss-free, and the run stops at the first settle
-    //    beyond r1 (everything later is farther still).
-    const HierarchyIndex& hier = index.hierarchy_index();
-    INDOOR_METRICS_ONLY(uint64_t block_scans = 0; uint64_t runs = 0;)
+  {
     INDOOR_TRACE_SPAN("door_expansion");
     for (size_t i = 0; i < src_doors.size(); ++i) {
-      const DoorId di = src_doors[i];
       const double r1 = r - src_leg[i];
       if (r1 < 0) continue;
-      const auto cells = hier.CellsOfDoor(di);
-      bool served = false;
-      if (cells[1] == HierarchyIndex::kNone) {
-        const uint32_t c = cells[0];
-        const uint32_t local = hier.LocalIndex(c, di);
-        if (r1 < hier.EscapeRadius(c, local)) {
-          const double* brow = hier.BlockRow(c, local);
-          const auto members = hier.CellMembers(c);
-          INDOOR_METRICS_ONLY(++block_scans;)
-          for (size_t j = 0; j < members.size(); ++j) {
-            if (brow[j] > r1) continue;
-            const DoorId dj = members[j];
-            const double r2 = r1 - brow[j];
+      oracle.VisitWithin(
+          src_doors[i], r1, &scratch->door, [&](DoorId dj, double d) {
+            const double r2 = r1 - d;
             SearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
                        &scratch->bucket, &found, &result, deps, gates);
             SearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
                        &scratch->bucket, &found, &result, deps, gates);
-          }
-          served = true;
-        }
-      }
-      if (!served) {
-        INDOOR_METRICS_ONLY(++runs;)
-        RunDoorDijkstra(
-            index.graph(), di, &scratch->door, index.queue_kind(), nullptr,
-            [&](DoorId dj, double d) {
-              if (d > r1) return false;
-              const double r2 = r1 - d;
-              SearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
-                         &scratch->bucket, &found, &result, deps, gates);
-              SearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
-                         &scratch->bucket, &found, &result, deps, gates);
-              return true;
-            },
-            [&](double cand) { return cand <= r1; });
-      }
-    }
-    INDOOR_METRICS_ONLY(
-        INDOOR_COUNTER_ADD("index.hier.range.block_scans", block_scans);
-        INDOOR_COUNTER_ADD("index.hier.range.runs", runs);
-        FlushBucketStats(&scratch->bucket);
-        index.hotness().FlushVisits(&scratch->bucket.hot);)
-
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
-    if (cache != nullptr) {
-      cache->InsertRangeResult(q, r, result_kind, *deps, *gates, result);
-    }
-    INDOOR_HISTOGRAM_RECORD("query.range.results", result.size());
-    if (qscope.active()) {
-      qscope.SetResult(static_cast<uint32_t>(result.size()),
-                       qdigest::RangeDigest(result));
-    }
-    return result;
-  }
-  const DistanceMatrix& md2d = index.d2d_matrix();
-  INDOOR_METRICS_ONLY(uint64_t md2d_rows = 0; uint64_t midx_rows = 0;
-                      uint64_t entries = 0;)
-  {
-    INDOOR_TRACE_SPAN("door_expansion");
-    for (size_t i = 0; i < src_doors.size(); ++i) {
-      const DoorId di = src_doors[i];
-      const double r1 = r - src_leg[i];
-      if (r1 < 0) continue;
-      const double* row = md2d.Row(di);
-      INDOOR_METRICS_ONLY(++md2d_rows;)
-      if (options.use_index_matrix) {
-        const DoorId* order = index.index_matrix().Row(di);
-        INDOOR_METRICS_ONLY(++midx_rows;)
-        for (size_t j = 0; j < n; ++j) {
-          const DoorId dj = order[j];
-          INDOOR_METRICS_ONLY(++entries;)
-          if (row[dj] > r1) break;  // nearest-first: nothing further qualifies
-          const double r2 = r1 - row[dj];
-          SearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
-                     &scratch->bucket, &found, &result, deps, gates);
-          SearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
-                     &scratch->bucket, &found, &result, deps, gates);
-        }
-      } else {
-        // Without Midx the whole Md2d row must be examined. The landmark
-        // lower bound (never above the exact row value) skips entries the
-        // row comparison would reject anyway, saving the row read —
-        // results are identical with landmarks attached or not.
-        const LandmarkIndex* const lm = index.landmarks();
-        uint64_t lm_prunes = 0;
-        INDOOR_METRICS_ONLY(entries += n;)
-        for (DoorId dj = 0; dj < n; ++dj) {
-          if (lm != nullptr && lm->LowerBound(di, dj) > r1) {
-            ++lm_prunes;
-            continue;
-          }
-          if (row[dj] > r1) continue;
-          const double r2 = r1 - row[dj];
-          SearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
-                     &scratch->bucket, &found, &result, deps, gates);
-          SearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
-                     &scratch->bucket, &found, &result, deps, gates);
-        }
-        if (lm_prunes != 0) {
-          INDOOR_COUNTER_ADD("distance.dijkstra.prunes.landmark", lm_prunes);
-        }
-      }
+          });
     }
   }
   INDOOR_METRICS_ONLY(
-      INDOOR_COUNTER_ADD("index.md2d.row_fetches", md2d_rows);
-      INDOOR_COUNTER_ADD("index.midx.row_fetches", midx_rows);
-      INDOOR_COUNTER_ADD("index.scan.entries", entries);
+      oracle.FlushStats();
       FlushBucketStats(&scratch->bucket);
       index.hotness().FlushVisits(&scratch->bucket.hot);)
 
@@ -326,12 +215,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   if (cache != nullptr) {
     cache->InsertRangeResult(q, r, result_kind, *deps, *gates, result);
   }
-  INDOOR_HISTOGRAM_RECORD("query.range.results", result.size());
-  if (qscope.active()) {
-    qscope.SetResult(static_cast<uint32_t>(result.size()),
-                     qdigest::RangeDigest(result));
-  }
-  return result;
+  return Served(std::move(result), &qscope);
 }
 
 }  // namespace indoor

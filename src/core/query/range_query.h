@@ -15,8 +15,8 @@ struct QueryScratch;
 /// Query knobs.
 struct RangeQueryOptions {
   /// Use Midx to scan doors nearest-first with early termination. When
-  /// false, every row entry of Md2d is examined (the paper's "without d2d
-  /// index" configuration in Fig. 8).
+  /// false, every row entry of Md2d is examined (Fig. 8's "without d2d
+  /// index"). Ignored under IndexOptions::use_hierarchy.
   bool use_index_matrix = true;
 };
 

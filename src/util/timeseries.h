@@ -1,4 +1,4 @@
-// Continuous telemetry: the flight recorder and per-partition hotness.
+// Continuous telemetry: the flight recorder.
 //
 // The metrics registry (util/metrics.h) answers "what has happened since
 // the process started"; the query log (util/query_log.h) answers "what
@@ -14,12 +14,9 @@
 // `indoor_tool dashboard` renders recordings to self-contained HTML
 // (util/dashboard.h).
 //
-// PartitionHotness is the spatial companion: a lock-free per-partition
-// visit/settle accumulator fed by the range/kNN door-expansion paths
-// (one batched flush per query, staged through BucketScratch so the
-// search inner loops touch no atomics). The recorder folds the
-// per-interval hotness delta into each sample, which is what the
-// cell-eviction policy of ROADMAP item 3 will consume.
+// The recorder also folds the per-interval delta of a PartitionHotness
+// accumulator (util/partition_hotness.h) into each sample, which is what
+// the cell-eviction policy of ROADMAP item 3 will consume.
 //
 // Metrics-OFF builds: the recording/reader/stat types are always
 // compiled (tools must load and render recordings in either mode, like
@@ -32,68 +29,18 @@
 #ifndef INDOOR_UTIL_TIMESERIES_H_
 #define INDOOR_UTIL_TIMESERIES_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "util/metrics.h"
+#include "util/partition_hotness.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace indoor {
 namespace tseries {
-
-// ---------------------------------------------------------------------------
-// Per-partition hotness.
-
-/// Lock-free per-partition activity accumulator. One cell per partition:
-/// `visits` counts door-expansion searches that reached the partition,
-/// `settles` counts intra-partition object distance evaluations settled
-/// there. Query paths stage (partition, settles) pairs in their
-/// per-thread BucketScratch and flush once per query through
-/// FlushVisits, so the hot loops never touch these atomics directly.
-class PartitionHotness {
- public:
-  PartitionHotness() = default;
-
-  /// (Re)sizes to `slots` cells and zeroes them. Writer-side: must not
-  /// overlap Record/Snapshot (call at build time, like index mutation).
-  void Reset(size_t slots);
-
-  /// Number of cells (0 until Reset).
-  size_t slots() const { return slots_; }
-
-  /// Adds activity to one cell (relaxed atomics; out-of-range slots are
-  /// dropped rather than trusted).
-  void Record(uint32_t slot, uint64_t visits, uint64_t settles);
-
-  /// Drains a query's staged (partition, settles) pairs: coalesces
-  /// duplicates, issues one Record per distinct partition, bumps the
-  /// aggregate `partition.hot.*` counters, and clears the buffer.
-  void FlushVisits(std::vector<std::pair<uint32_t, uint32_t>>* staged);
-
-  /// One active cell in a snapshot or an interval delta.
-  struct Entry {
-    uint32_t slot = 0;
-    uint64_t visits = 0;
-    uint64_t settles = 0;
-  };
-
-  /// Every cell with nonzero activity, ascending by slot.
-  std::vector<Entry> Snapshot() const;
-
- private:
-  struct Cell {
-    std::atomic<uint64_t> visits{0};
-    std::atomic<uint64_t> settles{0};
-  };
-  std::unique_ptr<Cell[]> cells_;
-  size_t slots_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Recordings.

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "baseline/linear_scan.h"
-#include "core/query/nearest_iterator.h"
+#include "core/query/knn_query.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
+#include "indoor/floor_plan_builder.h"
 #include "indoor/sample_plans.h"
 
 namespace indoor {
@@ -37,15 +38,15 @@ TEST_F(DistanceBrowserTest, StreamsExactDistanceOrder) {
   EXPECT_FALSE(browser.HasNext());
 }
 
-TEST_F(DistanceBrowserTest, AgreesWithKDoublingIterator) {
+TEST_F(DistanceBrowserTest, AgreesWithOneShotKnn) {
   Rng rng(223);
   PopulateStore(GenerateObjects(plan_, 35, &rng), &index_.objects());
   const Point q(2, 2);
   DistanceBrowser browser(index_, q);
-  NearestIterator wrapper(index_, q, 4);
-  while (wrapper.HasNext()) {
+  for (const Neighbor& expect : KnnQuery(index_, q, 35)) {
+    if (expect.distance == kInfDistance) break;  // never browsed
     ASSERT_TRUE(browser.HasNext());
-    EXPECT_NEAR(browser.Next().distance, wrapper.Next().distance, 1e-6);
+    EXPECT_NEAR(browser.Next().distance, expect.distance, 1e-6);
   }
   EXPECT_FALSE(browser.HasNext());
 }
@@ -57,6 +58,23 @@ TEST_F(DistanceBrowserTest, EmptyStoreAndOutsideQuery) {
   PopulateStore(GenerateObjects(plan_, 5, &rng), &index_.objects());
   DistanceBrowser outside(index_, {1000, 1000});
   EXPECT_FALSE(outside.HasNext());
+
+  // A one-way pocket: the object in c can never be reached from a.
+  FloorPlanBuilder b;
+  const PartitionId a = b.AddPartition("a", PartitionKind::kRoom, 1,
+                                       Rect(0, 0, 4, 4));
+  const PartitionId c = b.AddPartition("c", PartitionKind::kRoom, 1,
+                                       Rect(4, 0, 8, 4));
+  b.AddUnidirectionalDoor("ow", Segment({4, 1.8}, {4, 2.2}), c, a);
+  auto pocket = std::move(b).Build();
+  ASSERT_TRUE(pocket.ok());
+  IndexFramework index(pocket.value());
+  ASSERT_TRUE(index.objects().Insert(a, {1, 1}).ok());
+  ASSERT_TRUE(index.objects().Insert(c, {6, 1}).ok());
+  DistanceBrowser browser(index, {2, 2});
+  ASSERT_TRUE(browser.HasNext());
+  EXPECT_EQ(browser.Next().id, 0u);
+  EXPECT_FALSE(browser.HasNext());
 }
 
 TEST_F(DistanceBrowserTest, NoDuplicateObjects) {

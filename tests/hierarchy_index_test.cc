@@ -1,9 +1,10 @@
 // The hierarchy-vs-flat bitwise equality suite (the oracle contract of
 // core/index/hierarchy_index.h): on randomized multi-building campus
-// plans, every pt2pt, range, and kNN answer served through the
-// partition-contraction hierarchy must be BIT-identical to the flat
-// Md2d/Midx engine's — not approximately equal, the same doubles — with
-// the cache on or off and under either Dijkstra frontier.
+// plans, every door distance, pt2pt, range, kNN, batch, join, and
+// browsing answer served through the partition-contraction hierarchy
+// must be BIT-identical to the flat Md2d/Midx engine's — not
+// approximately equal, the same doubles — with the cache on or off and
+// under either Dijkstra frontier.
 
 #include "core/index/hierarchy_index.h"
 
@@ -12,6 +13,8 @@
 #include <cstring>
 #include <vector>
 
+#include "core/query/distance_join.h"
+#include "core/query/incremental_knn.h"
 #include "core/query/query_engine.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
@@ -56,8 +59,19 @@ IndexOptions FlatOptions(bool cache, bool bucket) {
   return options;
 }
 
+void ExpectSameNeighbors(const std::vector<Neighbor>& flat,
+                         const std::vector<Neighbor>& hier, const char* what) {
+  ASSERT_EQ(flat.size(), hier.size()) << what << " cardinality mismatch";
+  for (size_t j = 0; j < flat.size(); ++j) {
+    EXPECT_EQ(flat[j].id, hier[j].id) << what << " id mismatch at rank " << j;
+    EXPECT_TRUE(BitEq(flat[j].distance, hier[j].distance))
+        << what << " distance mismatch at rank " << j;
+  }
+}
+
 /// Runs the same randomized mixed workload through both engines and
-/// demands bitwise-identical answers everywhere.
+/// demands bitwise-identical answers everywhere. The hierarchy ignores
+/// use_index_matrix, so its full-row answers must equal flat Midx ones.
 void ExpectEngineEquality(const FloorPlan& plan, bool cache, bool bucket,
                           unsigned cell_target, uint64_t seed) {
   QueryEngine flat(plan, FlatOptions(cache, bucket));
@@ -80,21 +94,64 @@ void ExpectEngineEquality(const FloorPlan& plan, bool cache, bool bucket,
     EXPECT_TRUE(BitEq(df, dh))
         << "pt2pt mismatch: flat " << df << " vs hierarchy " << dh;
   }
+  const size_t n = plan.door_count();
+  for (DoorId s = 0; s < n; s += 3) {
+    for (DoorId t = 1; t < n; t += 7) {
+      EXPECT_TRUE(BitEq(flat.DoorDistance(s, t), hier.DoorDistance(s, t)))
+          << "door pair (" << s << ", " << t << ")";
+    }
+  }
+  std::vector<QueryRequest> batch;
   for (size_t i = 0; i < positions.size(); ++i) {
     const double r = 5.0 + static_cast<double>(i % 7) * 10.0;
     const auto rf = flat.Range(positions[i], r);
-    const auto rh = hier.Range(positions[i], r);
-    EXPECT_EQ(rf, rh) << "range mismatch at r=" << r;
+    EXPECT_EQ(rf, hier.Range(positions[i], r)) << "range mismatch at r=" << r;
+    EXPECT_EQ(rf, hier.Range(positions[i], r, {.use_index_matrix = false}))
+        << "full-row range mismatch at r=" << r;
 
     const size_t k = 1 + i % 13;
     const auto kf = flat.Nearest(positions[i], k);
-    const auto kh = hier.Nearest(positions[i], k);
-    ASSERT_EQ(kf.size(), kh.size()) << "kNN cardinality mismatch at k=" << k;
-    for (size_t j = 0; j < kf.size(); ++j) {
-      EXPECT_EQ(kf[j].id, kh[j].id) << "kNN id mismatch at rank " << j;
-      EXPECT_TRUE(BitEq(kf[j].distance, kh[j].distance))
-          << "kNN distance mismatch at rank " << j;
+    ExpectSameNeighbors(kf, hier.Nearest(positions[i], k), "kNN");
+    ExpectSameNeighbors(
+        kf, hier.Nearest(positions[i], k, {.use_index_matrix = false}),
+        "full-row kNN");
+
+    batch.push_back(QueryRequest::Range(positions[i], r));
+    batch.push_back(QueryRequest::Knn(positions[i], k));
+    batch.push_back(QueryRequest::Distance(pairs[i].first, pairs[i].second));
+  }
+
+  BatchExecutor flat_exec(flat.index(), 2);
+  BatchExecutor hier_exec(hier.index(), 2);
+  const auto bf = flat_exec.Run(batch);
+  const auto bh = hier_exec.Run(batch);
+  ASSERT_EQ(bf.size(), bh.size());
+  for (size_t i = 0; i < bf.size(); ++i) {
+    EXPECT_TRUE(BitEq(bf[i].distance, bh[i].distance)) << "batch slot " << i;
+    EXPECT_EQ(bf[i].ids, bh[i].ids) << "batch slot " << i;
+    ExpectSameNeighbors(bf[i].neighbors, bh[i].neighbors, "batch kNN");
+  }
+
+  const auto jf = DistanceJoin(flat.index(), 4.0);
+  const auto jh = DistanceJoin(hier.index(), 4.0);
+  ASSERT_EQ(jf.size(), jh.size()) << "join cardinality mismatch";
+  for (size_t i = 0; i < jf.size(); ++i) {
+    EXPECT_EQ(jf[i], jh[i]) << "join pair " << i;
+    EXPECT_TRUE(BitEq(jf[i].distance, jh[i].distance)) << "join pair " << i;
+  }
+
+  for (size_t i = 0; i < positions.size(); i += 15) {
+    DistanceBrowser bf_stream(flat.index(), positions[i]);
+    DistanceBrowser bh_stream(hier.index(), positions[i]);
+    while (bf_stream.HasNext()) {
+      ASSERT_TRUE(bh_stream.HasNext()) << "browser ends early";
+      const Neighbor a = bf_stream.Next();
+      const Neighbor b = bh_stream.Next();
+      EXPECT_EQ(a.id, b.id) << "browser id mismatch at " << bf_stream.yielded();
+      EXPECT_TRUE(BitEq(a.distance, b.distance))
+          << "browser distance mismatch at " << bf_stream.yielded();
     }
+    EXPECT_FALSE(bh_stream.HasNext()) << "browser runs long";
   }
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/metrics.h"
+#include "util/partition_hotness.h"
 
 namespace indoor {
 namespace tseries {
