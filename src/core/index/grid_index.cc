@@ -178,6 +178,38 @@ bool GridBucket::WouldAdmit(const Partition& partition, const Point& q,
   return partition.IntraDistance(q, position, geo) <= r;
 }
 
+double GridBucket::KeyIn(const Partition& partition, const Rect& rect,
+                         const Point& q, double intra) {
+  const double scale = partition.metric_scale();
+  const bool euclidean = !partition.footprint().HasObstacles() &&
+                         partition.footprint().outer().IsConvex();
+  const double upper = euclidean ? rect.MaxDistance(q) * scale : kInfDistance;
+  return std::max(rect.MinDistance(q) * scale, std::min(upper, intra));
+}
+
+double GridBucket::AdmissionKey(const Partition& partition, const Point& q,
+                                const Point& position,
+                                GeodesicScratch* geo) const {
+  return KeyIn(partition, CellRect(CellIndex(position)), q,
+               partition.IntraDistance(q, position, geo));
+}
+
+void GridBucket::AppendAdmissionKeys(const Partition& partition,
+                                     const Point& q,
+                                     std::vector<DoorListEntry>* out,
+                                     GeodesicScratch* geo) const {
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    const auto& cell = cells_[i];
+    if (cell.empty()) continue;
+    CellDistances(partition, q, cell, geo);
+    const Rect rect = CellRect(i);
+    for (size_t j = 0; j < cell.size(); ++j) {
+      out->push_back(
+          {KeyIn(partition, rect, q, geo->values[j]), cell[j].first});
+    }
+  }
+}
+
 void GridBucket::NnSearch(const Partition& partition, const Point& q,
                           double extra, KnnCollector* collector,
                           BucketScratch* scratch) const {

@@ -7,6 +7,7 @@
 #define INDOOR_CORE_INDEX_GRID_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,6 +72,29 @@ class KnnCollector {
   std::vector<std::pair<double, ObjectId>> entries_;
 };
 
+/// One entry of a door list (ObjectStore::DoorList): an object and its
+/// admission key from the list's door midpoint. Lists are ordered by
+/// (key, id), so equal keys still have one canonical order.
+struct DoorListEntry {
+  double key = kInfDistance;
+  ObjectId id = kInvalidId;
+
+  bool operator<(const DoorListEntry& o) const {
+    return key < o.key || (key == o.key && id < o.id);
+  }
+};
+
+/// The prefix of a key-sorted door list with key <= r: the objects
+/// GridBucket::RangeSearch with radius r from the list's anchor reports.
+/// The scan stops at the first key that is not <= r, so a NaN r admits
+/// nothing, as the grid search would.
+inline std::span<const DoorListEntry> AdmittedPrefix(
+    std::span<const DoorListEntry> list, double r) {
+  size_t n = 0;
+  while (n < list.size() && list[n].key <= r) ++n;
+  return list.first(n);
+}
+
 /// Reusable GridBucket search state: the geodesic scratch for batched
 /// intra-partition distances plus the cell visit-order buffer. Same
 /// ownership contract as GeodesicScratch — one thread at a time, buffers
@@ -93,29 +117,36 @@ struct BucketScratch {
   uint64_t cells_pruned = 0;
   uint64_t cells_admitted = 0;
   uint64_t objects_tested = 0;
+  /// Door-list entries read by range side searches (ObjectStore::DoorList
+  /// prefix scans), drained into `index.door_list.entries`.
+  uint64_t list_entries = 0;
 
-  /// Per-query partition-hotness staging: (partition, objects tested
-  /// there) pairs appended by the door-expansion paths and drained once
-  /// per query into IndexFramework's PartitionHotness accumulator
-  /// (util/timeseries.h) via FlushVisits. Same plain-field contract as
-  /// the counters above: only touched inside INDOOR_METRICS_ONLY.
+  /// Per-query partition-hotness staging: (partition, objects tested or
+  /// door-list entries read there) pairs appended by the door-expansion
+  /// paths and drained once per query into IndexFramework's
+  /// PartitionHotness accumulator (util/partition_hotness.h) via
+  /// FlushVisits. Same plain-field contract as the counters above: only
+  /// touched inside INDOOR_METRICS_ONLY.
   std::vector<std::pair<uint32_t, uint32_t>> hot;
 };
 
-/// Drains a scratch's accumulated grid-search statistics into the
-/// `index.grid.*` counters and zeroes them. Query entry points call this
-/// once per query, inside INDOOR_METRICS_ONLY.
+/// Drains a scratch's accumulated search statistics into the
+/// `index.grid.*` and `index.door_list.entries` counters and zeroes them.
+/// Query entry points call this once per query, inside
+/// INDOOR_METRICS_ONLY.
 inline void FlushBucketStats(BucketScratch* scratch) {
   INDOOR_COUNTER_ADD("index.grid.searches", scratch->searches);
   INDOOR_COUNTER_ADD("index.grid.cells_visited", scratch->cells_visited);
   INDOOR_COUNTER_ADD("index.grid.cells_pruned", scratch->cells_pruned);
   INDOOR_COUNTER_ADD("index.grid.cells_admitted", scratch->cells_admitted);
   INDOOR_COUNTER_ADD("index.grid.objects_tested", scratch->objects_tested);
+  INDOOR_COUNTER_ADD("index.door_list.entries", scratch->list_entries);
   scratch->searches = 0;
   scratch->cells_visited = 0;
   scratch->cells_pruned = 0;
   scratch->cells_admitted = 0;
   scratch->objects_tested = 0;
+  scratch->list_entries = 0;
 }
 
 /// The grid-subdivided object bucket of one partition. Stores (id, point)
@@ -171,6 +202,23 @@ class GridBucket {
   bool WouldAdmit(const Partition& partition, const Point& q, double r,
                   const Point& position, GeodesicScratch* geo = nullptr) const;
 
+  /// Admission key of an object at `position` for searches anchored at
+  /// `q`: max(MinDist(cell, q)·s, min(MaxDist(cell, q)·s, IntraDistance(q,
+  /// position))), the MaxDist term only where whole-cell admission
+  /// applies (obstacle-free convex partitions; else +inf). Every shortcut
+  /// of RangeSearch is a threshold in r, so RangeSearch(partition, q, r)
+  /// reports the object exactly when key <= r, for every r (NaN too). The
+  /// expressions are RangeSearch's own, so the verdicts are bit-identical.
+  double AdmissionKey(const Partition& partition, const Point& q,
+                      const Point& position,
+                      GeodesicScratch* geo = nullptr) const;
+
+  /// Appends {AdmissionKey(partition, q, o), o} for every object o of the
+  /// bucket, in cell order (one batched geodesic solve per cell).
+  void AppendAdmissionKeys(const Partition& partition, const Point& q,
+                           std::vector<DoorListEntry>* out,
+                           GeodesicScratch* geo) const;
+
   /// nnSearch(B, q, ...): offers objects to `collector`, visiting cells in
   /// ascending lower-bound order and stopping once no cell can beat the
   /// collector's bound. `extra` is added to every distance before offering
@@ -193,6 +241,9 @@ class GridBucket {
  private:
   size_t CellIndex(const Point& p) const;
   Rect CellRect(size_t idx) const;
+  /// max(lower bound, min(upper bound or +inf, intra)) for cell `rect`.
+  static double KeyIn(const Partition& partition, const Rect& rect,
+                      const Point& q, double intra);
 
   Point origin_;
   double cell_size_ = 1.0;

@@ -12,8 +12,9 @@
 //   d(s, t) >= max_l max(fwd[t][l] - fwd[s][l], bwd[s][l] - bwd[t][l])
 // Query paths use these bounds ONLY to skip work that provably cannot
 // change the answer (pair-skips in Algorithm 2, push-pruning in the
-// virtual-source Dijkstra, door-scan skips in range/kNN), so results stay
-// bitwise identical with landmarks on or off.
+// virtual-source Dijkstra) or to count what they would prune (the
+// range/kNN full-row scan, where the exact row entry is cheaper than any
+// bound), so results stay bitwise identical with landmarks on or off.
 //
 // Storage is transposed per door — the `count()` landmark values of one
 // door are contiguous — so a bound evaluation reads two short dense rows
@@ -26,6 +27,7 @@
 #ifndef INDOOR_CORE_INDEX_LANDMARK_INDEX_H_
 #define INDOOR_CORE_INDEX_LANDMARK_INDEX_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -90,6 +92,27 @@ class LandmarkIndex {
   double LowerBound(DoorId s, DoorId t) const {
     return simd::AltPairBound(ForwardRow(s), ForwardRow(t), BackwardRow(s),
                               BackwardRow(t), count_);
+  }
+
+  /// base + LowerBound(s, t) > bound, decided term by term: returns at
+  /// the first landmark term that exceeds the bound, so a far pair costs a
+  /// term or two instead of the whole fold. Floating-point addition is
+  /// monotone, so base + max(0, terms) > bound iff base + x > bound for
+  /// the 0 floor or some term x: the verdict is exactly that of the full
+  /// bound. Terms with an infinite operand are skipped, as in LowerBound.
+  bool BoundExceeds(DoorId s, DoorId t, double base, double bound) const {
+    if (base > bound) return true;  // the bound's 0 floor
+    const auto exceeds = [base, bound](double a, double b) {
+      return std::isfinite(a) && std::isfinite(b) && base + (a - b) > bound;
+    };
+    const double* fs = ForwardRow(s);
+    const double* ft = ForwardRow(t);
+    const double* bs = BackwardRow(s);
+    const double* bt = BackwardRow(t);
+    for (size_t l = 0; l < count_; ++l) {
+      if (exceeds(ft[l], fs[l]) || exceeds(bs[l], bt[l])) return true;
+    }
+    return false;
   }
 
   /// Serialized payload views (index_io.h).

@@ -6,11 +6,14 @@
 #define INDOOR_CORE_INDEX_OBJECT_STORE_H_
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "core/index/grid_index.h"
 #include "indoor/floor_plan.h"
+#include "util/metrics.h"
 #include "util/result.h"
 
 namespace indoor {
@@ -31,15 +34,25 @@ struct MoveOp {
   Point position;
 };
 
-/// Owns all objects and the per-partition grid buckets. The plan must
-/// outlive the store.
+/// Owns all objects, the per-partition grid buckets and the door lists.
+/// The plan must outlive the store.
+///
+/// Door lists: for every door d touching a partition v, the objects of v
+/// sorted by their admission key from d's midpoint (GridBucket::
+/// AdmissionKey), so Algorithm 5's side search RangeSearch(v, d, r2) is
+/// the list prefix with key <= r2. A partition's lists are built on the
+/// first DoorList read and kept current in place by every later write.
+/// Like the buckets they are object state, outside IndexMemoryBytes.
 ///
 /// Thread-safety: the const read surface (object, size, objects, bucket,
-/// epoch) is safe for concurrent readers. Insert/MoveObject/ApplyMoves
-/// mutate the object table and buckets; callers must serialize them
-/// externally and keep them from overlapping readers (single-writer /
-/// multi-reader with an external barrier — the library adds no per-query
-/// locking on purpose).
+/// epoch, DoorList, DoorListBytes) is safe for concurrent readers. The
+/// first DoorList read of a partition builds its lists under a
+/// per-partition mutex and publishes them with a release store; readers
+/// racing on that build all get the one published copy. Insert/MoveObject/
+/// ApplyMoves mutate the object table, buckets and built lists; callers
+/// must serialize them externally and keep them from overlapping readers
+/// (single-writer / multi-reader with an external barrier — the library
+/// adds no per-query locking on purpose).
 ///
 /// Epochs: every partition carries a monotonically increasing *object
 /// epoch* that is bumped whenever that partition's object population
@@ -127,6 +140,18 @@ class ObjectStore {
     return buckets_[v];
   }
 
+  /// The door list of (partition v, door d touching v): v's objects with
+  /// their admission keys from d's midpoint, ascending by (key, id). Builds
+  /// v's lists on first use (see class comment). The span stays valid
+  /// until the next write.
+  std::span<const DoorListEntry> DoorList(PartitionId v, DoorId d) const;
+
+  /// Bytes held by the entries of every built door list.
+  size_t DoorListBytes() const {
+    return door_list_entries_.v.load(std::memory_order_relaxed) *
+           sizeof(DoorListEntry);
+  }
+
   /// Grid cell edge length (meters) every bucket was built with.
   double grid_cell_size() const { return grid_cell_size_; }
 
@@ -153,6 +178,29 @@ class ObjectStore {
     }
   };
 
+  /// One list per TouchingDoors(v) entry, in the same order.
+  using DoorLists = std::vector<std::vector<DoorListEntry>>;
+
+  /// A partition's lazily built door lists.
+  struct DoorListSlot {
+    std::mutex build_mu;
+    std::unique_ptr<DoorLists> owned;        // set once, under build_mu
+    std::atomic<DoorLists*> lists{nullptr};  // owned.get(), once published
+  };
+
+  /// Builds and publishes partition v's lists unless a racing reader
+  /// already did; returns the published lists.
+  DoorLists* BuildDoorLists(PartitionId v) const;
+
+  /// Writer-side upkeep of v's lists, if built: add or drop one object.
+  void AddToDoorLists(PartitionId v, ObjectId id, const Point& position);
+  void RemoveFromDoorLists(PartitionId v, ObjectId id);
+
+  void PublishDoorListBytes() const {
+    INDOOR_GAUGE_SET("index.door_list.bytes",
+                     static_cast<double>(DoorListBytes()));
+  }
+
   void BumpEpoch(PartitionId v, ObjectId id) {
     const uint64_t e = epochs_[v].fetch_add(1, std::memory_order_relaxed) + 1;
     journal_[static_cast<size_t>(v) * kChangeJournalCapacity +
@@ -170,6 +218,8 @@ class ObjectStore {
   // in distinct slots, so a coverable window is always intact).
   std::vector<PartitionChange> journal_;
   RelaxedCounter global_epoch_;
+  std::unique_ptr<DoorListSlot[]> door_lists_;  // one per partition
+  mutable RelaxedCounter door_list_entries_;
 };
 
 }  // namespace indoor

@@ -7,7 +7,8 @@
 //   kMidxScan     Md2d row read in Midx (distance, id) order, stopping at
 //                 the first door beyond the bound;
 //   kFullRowScan  the whole Md2d row in door-id order, ALT landmark lower
-//                 bounds skipping entries (use_index_matrix = false);
+//                 bounds counting the rejected entries they would prune
+//                 (use_index_matrix = false);
 //   kHierarchy    IndexOptions::use_hierarchy: a cell block row below the
 //                 door's escape radius, else a bounded door Dijkstra.
 //
@@ -189,18 +190,22 @@ void DoorDistanceOracle::ExpandUnderBound(DoorId di, double base,
     return;
   }
   if (engine_ == DoorEngine::kFullRowScan) {
-    // The landmark lower bound skips entries the bound comparison would
-    // reject anyway; identical offers reach the visitor either way.
+    // The exact row entry decides every offer. A landmark lower bound
+    // cannot beat that one contiguous load, so it is consulted only for
+    // the entries the row rejects, to count those it would have pruned
+    // (BoundExceeds exits at the first deciding landmark term).
     const double* row = index_->d2d_matrix().Row(di);
-    const LandmarkIndex* const lm = index_->landmarks();
+    [[maybe_unused]] const LandmarkIndex* const lm = index_->landmarks();
     INDOOR_METRICS_ONLY(++stats_.md2d_rows; stats_.entries += n;
                         uint64_t prunes = 0;)
     for (DoorId dj = 0; dj < n; ++dj) {
-      if (lm != nullptr && base + lm->LowerBound(di, dj) > bound()) {
-        INDOOR_METRICS_ONLY(++prunes;)
+      if (base + row[dj] > bound()) {
+        INDOOR_METRICS_ONLY(
+            if (lm != nullptr && lm->BoundExceeds(di, dj, base, bound())) {
+              ++prunes;
+            })
         continue;
       }
-      if (base + row[dj] > bound()) continue;
       visit(dj, base + row[dj]);
     }
     INDOOR_METRICS_ONLY(stats_.landmark_prunes += prunes;)

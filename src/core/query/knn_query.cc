@@ -194,7 +194,7 @@ bool ApproxKnnServe(const IndexFramework& index, const ApproxKnnIndex& approx,
   const size_t L = lm->count();
 
   // Query-side landmark aggregates over the host partition's door legs
-  // (both fields are the canonical cached solves the exact paths share):
+  // (both fields are the canonical cached solves pt2pt shares):
   //   fq[l] = d(landmark_l, q) = min_j (fwd_row(enter_j)[l] + leg(q, j))
   //   bq[l] = d(q, landmark_l) = min_i (leg(q, i) + bwd_row(leave_i)[l])
   const std::vector<DoorId>& leave = plan.LeaveDoors(v);
@@ -430,12 +430,13 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   const DoorPartitionTable& dpt = index.dpt();
 
   // Lines 4-19: expand through every leaveable door of the host partition.
-  // All q-to-door legs come from one batched geodesic solve rooted at q.
+  // All q-to-door legs come from one batched geodesic solve rooted at q,
+  // computed directly: the whole answer is cached as a result, so a cached
+  // field would only grow memory.
   const auto& src_doors = plan.LeaveDoors(v);
   auto& src_leg = scratch->src_leg;
   src_leg.resize(src_doors.size());
-  CachedFieldLegs(cache, index.locator(), FieldKind::kLeaveFrom, v, q,
-                  src_doors, &scratch->geo, src_leg.data());
+  index.locator().DistVMany(v, q, src_doors, &scratch->geo, src_leg.data());
   {
     INDOOR_TRACE_SPAN("door_expansion");
     for (size_t i = 0; i < src_doors.size(); ++i) {

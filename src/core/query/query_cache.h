@@ -22,6 +22,12 @@
 // 3/4 source doors) extract their values from the canonical field by
 // binary search, which is exact for the same reason.
 //
+// The field cache serves pt2pt (and the opt-in approximate-kNN tier).
+// The exact range and kNN paths compute their q-to-door legs directly
+// (Locator::DistVMany): their whole answers are cached as results, so a
+// field entry per fresh position would only grow memory with the number
+// of distinct positions served.
+//
 // A third cache shares whole range/kNN results across queries. Unlike the
 // field and host caches — which are pure geometry and never depend on the
 // object population — result entries are object-dependent, so each one
@@ -70,8 +76,9 @@ namespace indoor {
 /// in canonical door list and in floating-point evaluation orientation,
 /// both of which must match the uncached call site bit-for-bit.
 enum class FieldKind : uint8_t {
-  /// Entry legs distV(p, d) over LeaveDoors(v) (pt2pt source side, range
-  /// and kNN door expansion). Computed by one DistVMany solve rooted at p.
+  /// Entry legs distV(p, d) over LeaveDoors(v) (pt2pt source side; range
+  /// and kNN compute the same legs uncached). Computed by one DistVMany
+  /// solve rooted at p.
   kLeaveFrom = 0,
   /// Exit legs distV(p, d) over EnterDoors(v) (pt2pt destination side).
   /// Also one DistVMany solve rooted at p.

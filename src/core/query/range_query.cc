@@ -10,25 +10,14 @@
 #include "util/query_log.h"
 
 namespace indoor {
-namespace {
+namespace internal {
 
-/// Lines 11-20 of Algorithm 5 for one DPT side (partition + fdv value):
-/// whole-partition inclusion when fdv(dj, part) <= r2, else a grid-pruned
-/// intra-partition range search anchored at door dj. `found` is a reusable
-/// staging buffer for the bucket results. `deps`/`gates` (optional,
-/// paired) accumulate the epoch dependency set and the repair budgets of
-/// the query's cached result: every partition reached here is recorded,
-/// including empty ones — reaching a partition means its population
-/// matters, whether or not it currently holds objects. The reach set and
-/// the budgets themselves are object-independent (pruning uses only Md2d
-/// geometry and r), so a cached result is exactly as valid as the
-/// recorded partitions' epochs, and a stale one can be repaired by
-/// re-testing just the moved objects against the gates.
-void SearchSide(const IndexFramework& index, PartitionId part, double fdv,
-                DoorId dj, double r2, BucketScratch* scratch,
-                std::vector<Neighbor>* found, std::vector<ObjectId>* result,
-                std::vector<PartitionId>* deps,
-                std::vector<ResultGate>* gates) {
+void RangeSearchSide(const IndexFramework& index, PartitionId part,
+                     double fdv, DoorId dj, double r2,
+                     [[maybe_unused]] BucketScratch* scratch,
+                     std::vector<ObjectId>* result,
+                     std::vector<PartitionId>* deps,
+                     std::vector<ResultGate>* gates) {
   if (part == kInvalidId) return;
   if (deps != nullptr) {
     deps->push_back(part);
@@ -36,9 +25,9 @@ void SearchSide(const IndexFramework& index, PartitionId part, double fdv,
   }
   // Hotness telemetry: every reached partition is a visit, even an empty
   // one — reaching it means its population matters to this query (the
-  // same reasoning the dependency set uses). Settles attributed below.
-  INDOOR_METRICS_ONLY(const uint64_t hot_before = scratch->objects_tested;
-                      scratch->hot.emplace_back(part, 0);)
+  // same reasoning the dependency set uses). List entries read attributed
+  // below.
+  INDOOR_METRICS_ONLY(scratch->hot.emplace_back(part, 0);)
   const GridBucket& bucket = index.objects().bucket(part);
   if (bucket.size() == 0) return;
   if (fdv <= r2) {
@@ -46,14 +35,20 @@ void SearchSide(const IndexFramework& index, PartitionId part, double fdv,
     bucket.CollectAll(result);
     return;
   }
-  found->clear();
-  bucket.RangeSearch(index.plan().partition(part),
-                     index.plan().door(dj).Midpoint(), r2, found, scratch);
-  for (const Neighbor& nb : *found) result->push_back(nb.id);
-  INDOOR_METRICS_ONLY(scratch->hot.back().second =
-                          static_cast<uint32_t>(scratch->objects_tested -
-                                                hot_before);)
+  const std::span<const DoorListEntry> list =
+      index.objects().DoorList(part, dj);
+  const std::span<const DoorListEntry> admitted = AdmittedPrefix(list, r2);
+  for (const DoorListEntry& e : admitted) result->push_back(e.id);
+  // Entries read: the prefix plus the one that ended the scan.
+  INDOOR_METRICS_ONLY(
+      const size_t read = admitted.size() + (admitted.size() < list.size());
+      scratch->list_entries += read;
+      scratch->hot.back().second = static_cast<uint32_t>(read);)
 }
+
+}  // namespace internal
+
+namespace {
 
 /// Would a fresh Qr(q, r) admit an object currently at `o`? Evaluates the
 /// exact gate expressions of the full search: the host-partition direct
@@ -126,7 +121,8 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   const FloorPlan& plan = index.plan();
   const QueryCache* cache = index.query_cache();
   const auto host = CachedHostPartition(cache, index.locator(), q);
-  if (!host.ok() || r < 0) return result;
+  // !(r >= 0) also rejects a NaN radius, before it reaches the cache.
+  if (!host.ok() || !(r >= 0)) return result;
   const PartitionId v = host.value();
   qscope.SetHost(v);
   DoorDistanceOracle oracle(index, options.use_index_matrix);
@@ -153,7 +149,6 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   }
   scratch = &ResolveQueryScratch(scratch);
   const ScratchDecayGuard decay_guard(scratch);
-  std::vector<Neighbor>& found = scratch->neighbors;
   std::vector<PartitionId>* deps = nullptr;
   std::vector<ResultGate>* gates = nullptr;
   if (cache != nullptr) {
@@ -165,6 +160,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   }
 
   // Line 2: search the host partition directly.
+  std::vector<Neighbor>& found = scratch->neighbors;
   found.clear();
   INDOOR_METRICS_ONLY(
       const uint64_t hot_before = scratch->bucket.objects_tested;
@@ -182,14 +178,15 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   const DoorPartitionTable& dpt = index.dpt();
 
   // Lines 3-20: expand through every leaveable door of the host partition.
-  // All q-to-door legs come from one batched geodesic solve rooted at q.
-  // The result is sorted + deduplicated below, so only the SET of
-  // (door, r2) side-searches matters, which every engine agrees on.
+  // All q-to-door legs come from one batched geodesic solve rooted at q,
+  // computed directly: the whole answer is cached as a result, so a cached
+  // field would only grow memory. The result is sorted + deduplicated
+  // below, so only the SET of (door, r2) side-searches matters, which
+  // every engine agrees on.
   const auto& src_doors = plan.LeaveDoors(v);
   auto& src_leg = scratch->src_leg;
   src_leg.resize(src_doors.size());
-  CachedFieldLegs(cache, index.locator(), FieldKind::kLeaveFrom, v, q,
-                  src_doors, &scratch->geo, src_leg.data());
+  index.locator().DistVMany(v, q, src_doors, &scratch->geo, src_leg.data());
   {
     INDOOR_TRACE_SPAN("door_expansion");
     for (size_t i = 0; i < src_doors.size(); ++i) {
@@ -198,10 +195,12 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
       oracle.VisitWithin(
           src_doors[i], r1, &scratch->door, [&](DoorId dj, double d) {
             const double r2 = r1 - d;
-            SearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
-                       &scratch->bucket, &found, &result, deps, gates);
-            SearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
-                       &scratch->bucket, &found, &result, deps, gates);
+            internal::RangeSearchSide(index, dpt[dj].part1, dpt[dj].dist1,
+                                      dj, r2, &scratch->bucket, &result,
+                                      deps, gates);
+            internal::RangeSearchSide(index, dpt[dj].part2, dpt[dj].dist2,
+                                      dj, r2, &scratch->bucket, &result,
+                                      deps, gates);
           });
     }
   }

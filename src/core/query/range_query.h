@@ -10,7 +10,9 @@
 
 namespace indoor {
 
+struct BucketScratch;
 struct QueryScratch;
+struct ResultGate;
 
 /// Query knobs.
 struct RangeQueryOptions {
@@ -27,6 +29,30 @@ struct RangeQueryOptions {
 std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
                                  double r, RangeQueryOptions options = {},
                                  QueryScratch* scratch = nullptr);
+
+namespace internal {
+
+/// Lines 11-20 of Algorithm 5 for one DPT side (partition `part` with
+/// fdv(dj, part) = `fdv`, reached at door `dj` with residual radius r2):
+/// appends the whole partition when fdv <= r2, else the objects whose
+/// intra-partition distance from dj's midpoint is <= r2 — the prefix of
+/// the store's (part, dj) door list, equal to GridBucket::RangeSearch's
+/// answer. A kInvalidId side is skipped. `deps`/`gates` (optional,
+/// paired) accumulate the epoch dependency set and the repair budgets of
+/// the query's cached result: every partition reached here is recorded,
+/// including empty ones — reaching a partition means its population
+/// matters, whether or not it currently holds objects. The reach set and
+/// the budgets are object-independent (pruning uses only door distances
+/// and r), so a cached result is exactly as valid as the recorded
+/// partitions' epochs, and a stale one can be repaired by re-testing just
+/// the moved objects against the gates. `scratch` receives telemetry.
+void RangeSearchSide(const IndexFramework& index, PartitionId part,
+                     double fdv, DoorId dj, double r2, BucketScratch* scratch,
+                     std::vector<ObjectId>* result,
+                     std::vector<PartitionId>* deps = nullptr,
+                     std::vector<ResultGate>* gates = nullptr);
+
+}  // namespace internal
 
 }  // namespace indoor
 

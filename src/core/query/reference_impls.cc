@@ -173,7 +173,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   std::vector<ObjectId> result;
   const FloorPlan& plan = index.plan();
   const auto host = index.locator().GetHostPartition(q);
-  if (!host.ok() || r < 0) return result;
+  if (!host.ok() || !(r >= 0)) return result;  // also rejects NaN
   const PartitionId v = host.value();
 
   // Line 2: search the host partition directly.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/distance/query_scratch.h"
+#include "core/query/range_query.h"
 
 namespace indoor {
 namespace {
@@ -32,7 +33,7 @@ std::vector<ObjectId> RangeQueryAtTime(const IndexFramework& index,
   std::vector<ObjectId> result;
   const FloorPlan& plan = index.plan();
   const auto host = index.locator().GetHostPartition(q);
-  if (!host.ok() || r < 0) return result;
+  if (!host.ok() || !(r >= 0)) return result;  // also rejects NaN
   const PartitionId v = host.value();
   QueryScratch& scratch = TlsQueryScratch();
 
@@ -54,23 +55,13 @@ std::vector<ObjectId> RangeQueryAtTime(const IndexFramework& index,
   for (DoorId dj = 0; dj < plan.door_count(); ++dj) {
     if (dist[dj] > r) continue;
     const double r2 = r - dist[dj];
-    for (const auto& [part, fdv] :
-         {std::pair{dpt[dj].part1, dpt[dj].dist1},
-          std::pair{dpt[dj].part2, dpt[dj].dist2}}) {
-      if (part == kInvalidId) continue;
-      const GridBucket& bucket = index.objects().bucket(part);
-      if (bucket.size() == 0) continue;
-      if (fdv <= r2) {
-        bucket.CollectAll(&result);
-        continue;
-      }
-      std::vector<Neighbor>& found = scratch.neighbors;
-      found.clear();
-      bucket.RangeSearch(plan.partition(part), plan.door(dj).Midpoint(), r2,
-                         &found, &scratch.bucket);
-      for (const Neighbor& nb : found) result.push_back(nb.id);
-    }
+    internal::RangeSearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
+                              &scratch.bucket, &result);
+    internal::RangeSearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
+                              &scratch.bucket, &result);
   }
+  INDOOR_METRICS_ONLY(FlushBucketStats(&scratch.bucket);
+                      index.hotness().FlushVisits(&scratch.bucket.hot);)
   std::sort(result.begin(), result.end());
   result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;

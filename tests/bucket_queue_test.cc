@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -338,6 +339,34 @@ TEST(LandmarkIndexTest, LowerBoundNeverExceedsExactDistance) {
   ASSERT_EQ(again.count(), landmarks.count());
   for (size_t l = 0; l < landmarks.count(); ++l) {
     EXPECT_EQ(again.doors()[l], landmarks.doors()[l]);
+  }
+}
+
+// The early-exit predicate must return exactly the full bound's verdict,
+// including at the boundary bound == base + LowerBound and one ulp around.
+TEST(LandmarkIndexTest, BoundExceedsMatchesFullBound) {
+  const FloorPlan plan = GenerateBuilding(TestBuilding(31));
+  const DistanceGraph graph(plan);
+  const LandmarkIndex landmarks = LandmarkIndex::Build(graph, 8);
+  ASSERT_TRUE(landmarks.valid());
+  Rng rng(37);
+  const size_t n = plan.door_count();
+  for (DoorId s = 0; s < n; ++s) {
+    for (DoorId t = 0; t < n; ++t) {
+      const double lb = landmarks.LowerBound(s, t);
+      for (const double base : {0.0, rng.NextDouble(0, 40)}) {
+        const double at = base + lb;
+        for (const double bound :
+             {at, std::nextafter(at, -kInfDistance),
+              std::nextafter(at, kInfDistance), rng.NextDouble(0, 80),
+              base - 1.0, kInfDistance}) {
+          ASSERT_EQ(landmarks.BoundExceeds(s, t, base, bound),
+                    base + lb > bound)
+              << "s=" << s << " t=" << t << " base=" << base
+              << " bound=" << bound;
+        }
+      }
+    }
   }
 }
 

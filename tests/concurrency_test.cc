@@ -88,6 +88,61 @@ TEST(ConcurrencyTest, ParallelReadersAgreeWithSequentialResults) {
 // building with room-to-room doors, one-way doors, and obstacles; every
 // answer is checked against the sequential linear-scan oracle (range,
 // kNN) or the sequential result of the same call (distance, window).
+// Door lists are built on first read. Readers that hit a fresh index at
+// the same moment race on those builds: every one must get the single
+// published copy and the sequential answers.
+TEST(ConcurrencyTest, ReadersRaceOnFirstDoorListBuild) {
+  BuildingConfig config;
+  config.floors = 3;
+  config.rooms_per_floor = 10;
+  config.obstacle_probability = 0.5;
+  config.seed = 199;
+  const FloorPlan plan = GenerateBuilding(config);
+  Rng rng(211);
+  const auto objects = GenerateObjects(plan, 400, &rng);
+  const auto queries = GenerateQueryPositions(plan, 32, &rng);
+  IndexFramework warm(plan);
+  PopulateStore(objects, &warm.objects());
+  std::vector<std::vector<ObjectId>> expect(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    expect[i] = RangeQuery(warm, queries[i], 30.0);
+  }
+
+  IndexFramework fresh(plan);
+  PopulateStore(objects, &fresh.objects());
+  const ObjectStore& store = fresh.objects();
+  ASSERT_EQ(store.DoorListBytes(), 0u);
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::vector<const DoorListEntry*>> seen(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Same order on every thread, so they collide on each first build.
+      for (PartitionId v = 0; v < plan.partition_count(); ++v) {
+        for (const DoorId d : plan.TouchingDoors(v)) {
+          seen[t].push_back(store.DoorList(v, d).data());
+        }
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        if (RangeQuery(fresh, queries[i], 30.0) != expect[i]) ++failures;
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  // Each partition was built (and counted) once.
+  size_t entries = 0;
+  for (PartitionId v = 0; v < plan.partition_count(); ++v) {
+    entries += plan.TouchingDoors(v).size() * store.bucket(v).size();
+  }
+  EXPECT_EQ(store.DoorListBytes(), entries * sizeof(DoorListEntry));
+}
+
 TEST(ConcurrencyTest, EightThreadStressAgainstLinearScanOracle) {
   BuildingConfig config;
   config.floors = 3;

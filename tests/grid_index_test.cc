@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "gen/object_generator.h"
 #include "util/random.h"
 
 namespace indoor {
@@ -219,6 +224,96 @@ TEST(GridBucketTest, NegativeRadiusYieldsNothing) {
   std::vector<Neighbor> out;
   bucket.RangeSearch(room, {5, 5}, -1.0, &out);
   EXPECT_TRUE(out.empty());
+}
+
+// ------------------------------------------------------ admission keys
+
+/// An L-shaped (non-convex) room, optionally metric-scaled.
+Partition MakeLRoom(double metric_scale = 1.0) {
+  auto outer = Polygon::Create(
+      {{0, 0}, {10, 0}, {10, 4}, {4, 4}, {4, 10}, {0, 10}});
+  EXPECT_TRUE(outer.ok());
+  return Partition(0, "ell", PartitionKind::kRoom, 1,
+                   ObstructedRegion::FromPolygon(std::move(outer).value()),
+                   metric_scale);
+}
+
+/// Sorted ids of AdmittedPrefix(list, r).
+std::vector<ObjectId> PrefixIds(std::span<const DoorListEntry> list,
+                                double r) {
+  std::vector<ObjectId> ids;
+  for (const DoorListEntry& e : AdmittedPrefix(list, r)) ids.push_back(e.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<ObjectId> SearchIds(const GridBucket& bucket,
+                                const Partition& part, const Point& q,
+                                double r, BucketScratch* scratch) {
+  std::vector<Neighbor> out;
+  bucket.RangeSearch(part, q, r, &out, scratch);
+  std::vector<ObjectId> ids;
+  for (const Neighbor& nb : out) ids.push_back(nb.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// Every RangeSearch shortcut is a threshold in r, so the list sorted by
+// admission key must answer every budget exactly as the grid search —
+// including a budget equal to a key and one ulp below it, where a
+// mismatch in any shortcut's expression would show.
+TEST(AdmissionKeyTest, ListPrefixEqualsRangeSearch) {
+  struct Case {
+    const char* name;
+    Partition part;
+  };
+  const Case cases[] = {
+      {"convex", MakeRoom()},
+      {"obstructed", MakePillarRoom()},
+      {"non-convex", MakeLRoom()},
+      {"scaled non-convex", MakeLRoom(1.7)},
+      {"shrunk non-convex", MakeLRoom(0.4)},
+      {"scaled convex",
+       Partition(0, "stair", PartitionKind::kStaircase, 1,
+                 ObstructedRegion::FromPolygon(
+                     Polygon::FromRect(Rect(0, 0, 10, 3))),
+                 2.5)},
+  };
+  Rng rng(17);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (double cell : {0.7, 2.0, 25.0}) {
+      GridBucket bucket(c.part, cell);
+      for (ObjectId id = 0; id < 30; ++id) {
+        bucket.Insert(id, RandomPointInPartition(c.part, &rng));
+      }
+      BucketScratch scratch;
+      for (int trial = 0; trial < 6; ++trial) {
+        const Point a = RandomPointInPartition(c.part, &rng);
+        std::vector<DoorListEntry> list;
+        bucket.AppendAdmissionKeys(c.part, a, &list, &scratch.geo);
+        ASSERT_EQ(list.size(), bucket.size());
+        std::sort(list.begin(), list.end());
+        std::vector<double> budgets = {
+            0.0, -0.0, -1.0, std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN()};
+        for (int i = 0; i < 8; ++i) budgets.push_back(rng.NextDouble(0, 30));
+        const size_t non_key = budgets.size();
+        for (const DoorListEntry& e : list) {
+          budgets.push_back(e.key);
+          budgets.push_back(std::nextafter(e.key, -kInfDistance));
+        }
+        for (size_t i = 0; i < budgets.size(); ++i) {
+          const double r = budgets[i];
+          const auto want = SearchIds(bucket, c.part, a, r, &scratch);
+          ASSERT_EQ(PrefixIds(list, r), want) << "budget " << r;
+          if (i < non_key) {  // the per-object path too
+            ASSERT_EQ(SearchIds(bucket, c.part, a, r, nullptr), want);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "gen/building_generator.h"
+#include "gen/object_generator.h"
 #include "indoor/sample_plans.h"
 
 namespace indoor {
@@ -89,6 +95,54 @@ TEST_F(ObjectStoreTest, GridCellSizePropagates) {
   const ObjectStore coarse(plan_, 8.0);
   EXPECT_LE(coarse.bucket(ids_.v10).cell_count(),
             store_.bucket(ids_.v10).cell_count());
+}
+
+// Every door list, read through AdmittedPrefix, answers each budget exactly
+// as the grid search from the door's midpoint — on a generated building
+// with obstructed rooms and metric-scaled staircases, at budgets equal to
+// a key and one ulp below it.
+TEST(DoorListTest, PrefixEqualsRangeSearchFromEveryDoor) {
+  BuildingConfig config;
+  config.floors = 2;
+  config.rooms_per_floor = 8;
+  config.obstacle_probability = 0.6;
+  config.seed = 41;
+  const FloorPlan plan = GenerateBuilding(config);
+  ObjectStore store(plan, 1.5);
+  Rng rng(42);
+  PopulateStore(GenerateObjects(plan, 300, &rng), &store);
+  const auto sorted_ids = [](auto&& entries) {
+    std::vector<ObjectId> ids;
+    for (const auto& e : entries) ids.push_back(e.id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  BucketScratch scratch;
+  size_t checked = 0;
+  for (PartitionId v = 0; v < plan.partition_count(); ++v) {
+    const GridBucket& bucket = store.bucket(v);
+    for (const DoorId d : plan.TouchingDoors(v)) {
+      const Point a = plan.door(d).Midpoint();
+      const auto list = store.DoorList(v, d);
+      ASSERT_EQ(list.size(), bucket.size());
+      ASSERT_TRUE(std::is_sorted(list.begin(), list.end()));
+      std::vector<double> budgets = {
+          -1.0, 0.0, kInfDistance, std::numeric_limits<double>::quiet_NaN(),
+          rng.NextDouble(0, 20)};
+      for (const DoorListEntry& e : list) {
+        budgets.push_back(e.key);
+        budgets.push_back(std::nextafter(e.key, -kInfDistance));
+      }
+      for (const double r : budgets) {
+        std::vector<Neighbor> found;
+        bucket.RangeSearch(plan.partition(v), a, r, &found, &scratch);
+        ASSERT_EQ(sorted_ids(AdmittedPrefix(list, r)), sorted_ids(found))
+            << "partition " << v << " door " << d << " budget " << r;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 }  // namespace

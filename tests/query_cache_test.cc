@@ -276,13 +276,20 @@ TEST(QueryCacheInvalidationTest, InvalidateClearsEntries) {
   QueryEngine engine(GenerateBuilding(SmallBuilding(81, 0.5)),
                      CacheOptions(true));
   Rng rng(82);
+  // pt2pt fills the field cache; range fills the result cache (its legs
+  // bypass the field cache); both fill the host cache.
+  const auto pairs = GeneratePositionPairs(engine.plan(), 8, &rng);
+  for (const auto& [a, b] : pairs) engine.Distance(a, b);
   const auto positions = GenerateQueryPositions(engine.plan(), 8, &rng);
   for (const Point& q : positions) engine.Range(q, 20.0);
   const QueryCache* cache = engine.index().query_cache();
   EXPECT_GT(cache->FieldStats().entries, 0u);
+  EXPECT_GT(cache->HostStats().entries, 0u);
+  EXPECT_GT(cache->ResultStats().entries, 0u);
   engine.index().InvalidateQueryCache();
   EXPECT_EQ(cache->FieldStats().entries, 0u);
   EXPECT_EQ(cache->HostStats().entries, 0u);
+  EXPECT_EQ(cache->ResultStats().entries, 0u);
 }
 
 // --------------------------------------------------------- eviction bound

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baseline/linear_scan.h"
+#include "core/query/query_cache.h"
+#include "core/query/query_engine.h"
+#include "core/query/reference_impls.h"
+#include "core/query/temporal_query.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
@@ -147,6 +153,49 @@ TEST_F(RangeQueryTest, RangeMonotonicInRadius) {
     const size_t count = RangeQuery(index_, q, r).size();
     EXPECT_GE(count, prev);
     prev = count;
+  }
+}
+
+// `r < 0` is false for NaN; a NaN radius must still answer empty on every
+// engine, without scanning and without a result-cache entry.
+TEST(RangeQueryNanTest, NanRadiusIsEmptyOnEveryEngine) {
+  BuildingConfig config;
+  config.floors = 2;
+  config.rooms_per_floor = 8;
+  config.obstacle_probability = 0.5;
+  config.seed = 31;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool hierarchy : {false, true}) {
+    for (const bool cache : {false, true}) {
+      SCOPED_TRACE(std::string(hierarchy ? "hierarchy" : "flat") +
+                   (cache ? " cache on" : " cache off"));
+      IndexOptions options;
+      options.use_hierarchy = hierarchy;
+      options.enable_query_cache = cache;
+      QueryEngine engine(GenerateBuilding(config), options);
+      Rng rng(32);
+      PopulateStore(GenerateObjects(engine.plan(), 200, &rng),
+                    &engine.index().objects());
+      const IndexFramework& index = engine.index();
+      const DoorSchedule schedule(engine.plan().door_count());
+      bool any_found = false;
+      for (const Point& q : GenerateQueryPositions(engine.plan(), 12, &rng)) {
+        EXPECT_TRUE(engine.Range(q, nan).empty());
+        EXPECT_TRUE(RangeQuery(index, q, nan).empty());
+        EXPECT_TRUE(RangeQuery(index, q, nan, {false}).empty());
+        EXPECT_TRUE(RangeQueryAtTime(index, schedule, 0.0, q, nan).empty());
+        if (!hierarchy) {
+          EXPECT_TRUE(reference::RangeQuery(index, q, nan).empty());
+        }
+        any_found = any_found || !RangeQueryAtTime(index, schedule, 0.0, q,
+                                                   kInfDistance)
+                                      .empty();
+      }
+      EXPECT_TRUE(any_found);  // the positions do reach objects
+      if (cache) {
+        EXPECT_EQ(index.query_cache()->ResultStats().entries, 0u);
+      }
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -66,6 +67,64 @@ std::vector<MoveOp> RandomMoves(const FloorPlan& plan, size_t object_count,
                RandomPointInPartition(plan.partition(target), rng)});
   }
   return moves;
+}
+
+// ------------------------------------------------------------ door lists
+
+/// Reads every door list of partition `v`, building them.
+void ReadDoorLists(const FloorPlan& plan, const ObjectStore& store,
+                   PartitionId v) {
+  for (const DoorId d : plan.TouchingDoors(v)) store.DoorList(v, d);
+}
+
+// Lists built before a write are updated in place; they must equal the
+// lists a fresh store builds from the final population, bit for bit
+// (same keys, same (key, id) order).
+TEST(DoorListTest, WritesKeepListsEqualToFreshBuild) {
+  const FloorPlan plan = GenerateBuilding(SmallBuilding(97, 0.5));
+  ObjectStore store(plan);
+  Rng rng(98);
+  PopulateStore(GenerateObjects(plan, 150, &rng), &store);
+  // Half the partitions are built before the writes, half stay lazy.
+  for (PartitionId v = 0; v < plan.partition_count(); v += 2) {
+    ReadDoorLists(plan, store, v);
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (const GeneratedObject& o : GenerateObjects(plan, 10, &rng)) {
+      ASSERT_TRUE(store.Insert(o.partition, o.position).ok());
+    }
+    ASSERT_TRUE(
+        store.ApplyMoves(RandomMoves(plan, store.size(), 40, &rng)).ok());
+    // A move inside the object's own partition re-keys it in place.
+    const IndoorObject& o = store.object(static_cast<ObjectId>(round));
+    ASSERT_TRUE(store
+                    .MoveObject(o.id, o.partition,
+                                RandomPointInPartition(
+                                    plan.partition(o.partition), &rng))
+                    .ok());
+  }
+
+  ObjectStore fresh(plan);
+  for (const IndoorObject& o : store.objects()) {
+    ASSERT_EQ(fresh.Insert(o.partition, o.position).value(), o.id);
+  }
+  size_t lists = 0;
+  for (PartitionId v = 0; v < plan.partition_count(); ++v) {
+    for (const DoorId d : plan.TouchingDoors(v)) {
+      const auto got = store.DoorList(v, d);
+      const auto want = fresh.DoorList(v, d);
+      ASSERT_EQ(got.size(), want.size()) << "partition " << v << " door " << d;
+      ASSERT_EQ(got.size(), store.bucket(v).size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].id, want[i].id) << "partition " << v << " door " << d;
+        ASSERT_EQ(std::memcmp(&got[i].key, &want[i].key, sizeof(double)), 0)
+            << "partition " << v << " door " << d << " entry " << i;
+      }
+      ++lists;
+    }
+  }
+  EXPECT_GT(lists, 0u);
+  EXPECT_EQ(store.DoorListBytes(), fresh.DoorListBytes());
 }
 
 // ------------------------------------------------------------- ApplyMoves
