@@ -18,18 +18,43 @@
 //             (un-stopped) run would produce — the settle-prefix property
 //             that the hierarchy's bitwise-equality contract builds on.
 //
-//   PushOk    bool(double cand) — consulted before enqueueing an improving
-//             candidate. Returning false records the tentative distance
-//             but skips the push, so the door cannot settle through that
-//             candidate. With a MONOTONE NON-INCREASING bound (a fixed
-//             radius, or fl(base + cand) > best where best only shrinks),
-//             pruning is loss-free for every door the caller observes via
-//             OnSettle: a suppressed candidate is over the bound at push
-//             time and therefore still over it at its would-be pop, where
-//             the matching OnSettle stop condition would have ended the
-//             run without processing it. CAUTION: with a non-trivial
-//             PushOk, dist[] entries of unsettled doors are tentative
-//             lower bounds only — consume distances through OnSettle (or
+//   PushOk    bool(DoorId to, double cand) — consulted before enqueueing
+//             an improving candidate `cand` for door `to`. Returning false
+//             records the tentative distance but skips the push, so `to`
+//             cannot settle through that candidate. The bound may depend
+//             on the door (e.g. fl(base + cand) + h(to) > limit, with h
+//             a per-door estimate of the remaining distance) provided it
+//             is MONOTONE in cand (a larger candidate for the same door is
+//             never accepted where a smaller one is refused) and NEVER
+//             RISES during a run (limit only shrinks). Then pruning is
+//             loss-free for every total the caller derives via OnSettle
+//             below its limit:
+//               * a refused candidate is refused at every later point of
+//                 the run, so no total through it can come back under the
+//                 limit;
+//               * a door whose best candidate was refused may still settle
+//                 later through a LARGER accepted candidate (pushed before
+//                 the smaller one arrived). That value is an over-estimate
+//                 of its distance, and when h is consistent (h(x) <=
+//                 w(x, y) + h(y), as an exact remaining distance is)
+//                 everything the run derives from it — the door's own
+//                 totals and its descendants' — is at least the refused
+//                 candidate's total, i.e. above the limit, so it only
+//                 feeds totals the caller discards;
+//               * every value the run produces is a genuine path sum, so
+//                 none undercuts the full run's; a door whose full-run
+//                 predecessor settled with its exact value and whose
+//                 candidate from it was accepted therefore settles with
+//                 its exact (flat-bit-equal) distance. The caller's limit
+//                 must keep every door of the shortest-path branches it
+//                 observes accepted (hierarchy_distance.cc shows why its
+//                 bound does).
+//             With a door-independent bound (h = 0) the second case cannot
+//             arise: the suppressed candidate is over the bound at push
+//             time and still over it at its would-be pop, where the
+//             matching OnSettle stop ends the run. CAUTION: with a
+//             non-trivial PushOk, dist[] entries of unsettled doors are
+//             tentative only — consume distances through OnSettle (or
 //             check visited[]), never from dist[] directly.
 //
 // The default policies (SettleAll / AlwaysPush) reduce both loops to the
@@ -59,7 +84,7 @@ struct SettleAll {
 
 /// Default PushOk: accepts every improving relaxation (exact Algorithm 1).
 struct AlwaysPush {
-  bool operator()(double) const { return true; }
+  bool operator()(DoorId, double) const { return true; }
 };
 
 /// Heap-frontier door Dijkstra from `ds`. dist/visited are assigned to the
@@ -93,12 +118,15 @@ void RunDoorDijkstraHeap(const DistanceGraph& graph, DoorId ds,
     visited[di] = 1;
     INDOOR_METRICS_ONLY(++stats.settles;)
     if (!on_settle(di, d)) return;
+    // Relax from the settled (popped) value, as the bucket loop does. It
+    // equals dist[di] unless a door-dependent PushOk refused di's best
+    // candidate after accepting a larger one.
     for (const DoorGraphEdge& e : graph.DoorEdges(di)) {
       if (visited[e.to]) continue;
-      if (dist[di] + e.weight < dist[e.to]) {
-        dist[e.to] = dist[di] + e.weight;
+      if (d + e.weight < dist[e.to]) {
+        dist[e.to] = d + e.weight;
         if (prev_out != nullptr) (*prev_out)[e.to] = {e.via, di};
-        if (!push_ok(dist[e.to])) continue;
+        if (!push_ok(e.to, dist[e.to])) continue;
         heap->push({dist[e.to], e.to});
         INDOOR_METRICS_ONLY(++stats.relaxations;)
       }
@@ -156,7 +184,7 @@ void RunDoorDijkstraBucket(const DistanceGraph& graph, DoorId ds,
       if (cand[i] < dist[to]) {  // re-check: duplicate targets in one span
         dist[to] = cand[i];
         if (prev_out != nullptr) (*prev_out)[to] = {edges[i].via, di};
-        if (!push_ok(cand[i])) continue;
+        if (!push_ok(to, cand[i])) continue;
         queue->push({cand[i], to});
         INDOOR_METRICS_ONLY(++stats.relaxations;)
       }

@@ -42,13 +42,11 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
   // Pass 1: shared-cell pairs straight from the blocks (each d bit-equal
   // to Md2d, each total the same (leg1 + d) + leg2 left-fold as the flat
   // loop, and the final min over the pair multiset is order-independent).
-  // Cross-cell pairs stay pending; their composed border route feeds the
-  // loss-free cap of pass 2.
+  // Cross-cell pairs stay pending for pass 2.
   const size_t ns = src_doors.size();
   const size_t nd = dest_doors.size();
   auto& d2d = scratch->d2d_cache;
   d2d.assign(ns * nd, kPending);
-  double ub_min = kInfDistance;
   size_t total_pending = 0;
   INDOOR_METRICS_ONLY(uint64_t block_pairs = 0;)
   for (size_t i = 0; i < ns; ++i) {
@@ -65,26 +63,42 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
         continue;
       }
       ++total_pending;
-      const double ub = hier.UpperBound(src_doors[i], dest_doors[j]);
-      if (ub < kInfDistance) {
-        ub_min = std::min(ub_min, leg1 + ub + dest_leg[j]);
-      }
     }
   }
   INDOOR_METRICS_ONLY(
       INDOOR_COUNTER_ADD("index.hier.pt2pt.block_pairs", block_pairs);)
 
-  // Pass 2: one bounded Dijkstra per source door with pending pairs. The
-  // cap C exceeds the final best by construction — every pair's flat total
-  // is at most a few ulps above its composed-route value, and the 1e-9
-  // slack dominates that rounding — so stopping a run once fl(leg1 + d)
-  // rises past min(best, C) (and push-pruning with the same predicate,
-  // which is monotone non-increasing) discards only pairs whose totals
-  // cannot lower the final min. Settled distances are bit-equal to the
-  // flat row entries by the settle-prefix property.
+  // Pass 2: one goal-directed bounded Dijkstra per source door with
+  // pending pairs. h(x) = DestinationBound(x) is d(x, T) over the exit
+  // legs, composed from stored entries; in real arithmetic the cap
+  // C = min_i leg1_i + h(s_i) is the optimum over door pairs, and every
+  // door x on an optimal pair's shortest-path branch (in the float run's
+  // own predecessor chain) has leg1 + d(s, x) + h(x) equal to it up to a
+  // few hundred ulps, which the 1e-9 slack dominates. So with
+  // limit = slack * min(best, C), which only shrinks:
+  //   * run skip: a source with leg1 + h(s_i) > limit (or h = +inf: no
+  //     target reachable) holds no pair that can lower the final min;
+  //   * push prune: fl(leg1 + cand) + h(to) > limit drops only doors
+  //     whose every total is above the final min; a door pruned at its
+  //     best candidate that settles later through a larger one only
+  //     feeds totals above the limit (d2d_runner.h), so the recorded
+  //     d2d of such a pair never wins the min;
+  //   * stop: once fl(leg1 + d) rises past slack * C or reaches best,
+  //     no later settle can lower the min.
+  // Doors on the optimal branch are never pruned, so they settle with
+  // their flat-bit-equal values (settle-prefix property) and the optimal
+  // pair's total is the flat loop's. Composed sums never become answers.
   if (total_pending > 0) {
-    const double cap =
-        HierarchyIndex::kUpperBoundSlack * std::min(best, ub_min);
+    auto& table = scratch->destination;
+    hier.PrepareDestination(dest_doors, dest_leg, &table);
+    double cap = kInfDistance;
+    for (size_t i = 0; i < ns; ++i) {
+      if (src_leg[i] == kInfDistance) continue;
+      cap = std::min(cap, src_leg[i] +
+                              hier.DestinationBound(src_doors[i], &table));
+    }
+    const double slack = HierarchyIndex::kUpperBoundSlack;
+    const double stop_cap = slack * cap;
     INDOOR_METRICS_ONLY(uint64_t runs = 0;)
     for (size_t i = 0; i < ns; ++i) {
       const double leg1 = src_leg[i];
@@ -96,15 +110,18 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
         }
       }
       // Totals through this door are >= leg1, so a row at or above the
-      // running best (the flat loop's own skip) or above the cap cannot
-      // lower the final min.
-      if (remaining == 0 || leg1 >= best || leg1 > cap) continue;
+      // running best (the flat loop's own skip) cannot lower the min.
+      if (remaining == 0 || leg1 >= best) continue;
+      const double h = hier.DestinationBound(src_doors[i], &table);
+      if (h == kInfDistance || leg1 + h > slack * std::min(best, cap)) {
+        continue;
+      }
       INDOOR_METRICS_ONLY(++runs;)
       RunDoorDijkstra(
           graph, src_doors[i], &scratch->door, kind, nullptr,
           [&](DoorId di, double d) {
             const double through = leg1 + d;
-            if (through > cap || through >= best) return false;
+            if (through > stop_cap || through >= best) return false;
             for (size_t j = 0; j < nd; ++j) {
               if (dest_doors[j] != di || d2d[i * nd + j] != kPending ||
                   dest_leg[j] == kInfDistance) {
@@ -116,9 +133,10 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
             }
             return remaining != 0;
           },
-          [&](double cand) {
-            const double through = leg1 + cand;
-            return through <= cap && through < best;
+          [&](DoorId to, double cand) {
+            const double h_to = hier.DestinationBound(to, &table);
+            return h_to < kInfDistance &&
+                   leg1 + cand + h_to <= slack * std::min(best, cap);
           });
     }
     INDOOR_METRICS_ONLY(INDOOR_COUNTER_ADD("index.hier.pt2pt.runs", runs);)
@@ -146,23 +164,35 @@ double HierarchyDoorDistance(const DistanceGraph& graph,
   double out;
   if (hier.TryExact(s, t, &out)) return out;
   scratch = &ResolveQueryScratch(scratch);
-  // The cap exceeds the exact float distance (the composed route's
-  // rounding is dominated by the slack), so every node on t's shortest
-  // -path-tree branch — whose tentative values never exceed the final
-  // d(s, t) — survives both the push prune and the settle stop, and t
-  // settles with its exact (flat-bit-equal) distance.
-  const double cap = HierarchyIndex::kUpperBoundSlack * hier.UpperBound(s, t);
+  // Goal-directed run toward the single target t (leg 0): h(x) =
+  // DestinationBound(x) is d(x, t) composed from stored entries, and the
+  // cap h(s) = d(s, t) up to rounding the slack dominates. Every node on
+  // t's shortest-path branch has cand + h(to) equal to the cap up to
+  // that rounding, so it survives both the push prune and the settle
+  // stop, and t settles with its exact (flat-bit-equal) distance; a
+  // pruned door that settles later through a larger candidate feeds only
+  // values above the limit (d2d_runner.h). h(s) = +inf proves t
+  // unreachable.
+  auto& table = scratch->destination;
+  const double leg = 0.0;
+  hier.PrepareDestination({&t, 1}, {&leg, 1}, &table);
+  const double cap = hier.DestinationBound(s, &table);
+  if (cap == kInfDistance) return kInfDistance;
+  const double limit = HierarchyIndex::kUpperBoundSlack * cap;
   INDOOR_COUNTER_INC("index.hier.d2d.runs");
   double result = kInfDistance;
   RunDoorDijkstra(
       graph, s, &scratch->door, kind, nullptr,
       [&](DoorId di, double d) {
-        if (d > cap) return false;
+        if (d > limit) return false;
         if (di != t) return true;
         result = d;
         return false;
       },
-      [&](double cand) { return cand <= cap; });
+      [&](DoorId to, double cand) {
+        const double h_to = hier.DestinationBound(to, &table);
+        return h_to < kInfDistance && cand + h_to <= limit;
+      });
   return result;
 }
 

@@ -2,10 +2,14 @@
 // matrix_distance.h. Same-cell door pairs are served straight from the
 // hierarchy's per-cell blocks (bit-equal to the flat Md2d entries by the
 // settle-prefix contract, hierarchy_index.h); cross-cell pairs run a
-// BOUNDED door Dijkstra whose stop and push-prune predicates are loss-free
-// — composed border sums act only as search caps, never as answers — so
-// the returned distance is bit-identical to Pt2PtDistanceMatrix on the
-// flat index.
+// GOAL-DIRECTED bounded door Dijkstra: each push is pruned by the
+// per-query destination bound HierarchyIndex::DestinationBound (the
+// composed block + border-clique distance to the targets plus the exit
+// leg), and the run's cap is the best composed total. Both predicates are
+// loss-free — composed border sums act only as caps and prune bounds,
+// never as answers — so the returned distance is bit-identical to
+// Pt2PtDistanceMatrix on the flat index while the search settles only
+// doors on near-shortest paths.
 
 #ifndef INDOOR_CORE_DISTANCE_HIERARCHY_DISTANCE_H_
 #define INDOOR_CORE_DISTANCE_HIERARCHY_DISTANCE_H_
@@ -41,8 +45,10 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
                               QueueKind kind = QueueKind::kBucket);
 
 /// Exact door-to-door distance d(s -> t), bit-identical to the flat
-/// Md2d[s][t]: a block lookup when s and t share a cell, else a bounded
-/// Dijkstra capped at kUpperBoundSlack times the composed border route.
+/// Md2d[s][t]: a block lookup when s and t share a cell, else a
+/// goal-directed Dijkstra capped at kUpperBoundSlack times the composed
+/// border route, pushing only doors x with cand + DestinationBound(x)
+/// under that cap. +inf without a run when no border route exists.
 double HierarchyDoorDistance(const DistanceGraph& graph,
                              const HierarchyIndex& hier, DoorId s, DoorId t,
                              QueryScratch* scratch = nullptr,

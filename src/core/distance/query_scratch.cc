@@ -60,7 +60,8 @@ size_t QueryScratch::CapacityBytes() const {
          VecCapacityBytes(source_doors) + VecCapacityBytes(cand_doors) +
          VecCapacityBytes(src_leg) + VecCapacityBytes(dst_leg) +
          VecCapacityBytes(d2d_cache) + VecCapacityBytes(prev) +
-         collector.CapacityBytes() + VecCapacityBytes(neighbors) +
+         destination.CapacityBytes() + collector.CapacityBytes() +
+         VecCapacityBytes(neighbors) +
          VecCapacityBytes(result_deps) + VecCapacityBytes(approx_bound) +
          VecCapacityBytes(approx_order) + VecCapacityBytes(approx_dq);
 }
@@ -75,6 +76,7 @@ size_t QueryScratch::UsedBytes() const {
          VecUsedBytes(source_doors) + VecUsedBytes(cand_doors) +
          VecUsedBytes(src_leg) + VecUsedBytes(dst_leg) +
          VecUsedBytes(d2d_cache) + VecUsedBytes(prev) +
+         destination.UsedBytes() +
          collector.size() * sizeof(std::pair<double, ObjectId>) +
          VecUsedBytes(neighbors) + VecUsedBytes(result_deps) +
          VecUsedBytes(approx_bound) + VecUsedBytes(approx_order) +
@@ -98,6 +100,7 @@ void QueryScratch::ShrinkToFit() {
   dst_leg.shrink_to_fit();
   d2d_cache.shrink_to_fit();
   prev.shrink_to_fit();
+  destination.ShrinkToFit();
   collector.ShrinkToFit();
   neighbors.shrink_to_fit();
   result_deps.shrink_to_fit();

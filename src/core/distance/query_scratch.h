@@ -24,6 +24,7 @@
 
 #include "core/distance/d2d_distance.h"
 #include "core/index/grid_index.h"
+#include "core/index/hierarchy_index.h"
 #include "util/metrics.h"
 
 namespace indoor {
@@ -65,6 +66,10 @@ struct QueryScratch {
   std::vector<double> approx_bound;
   std::vector<ObjectId> approx_order;
   std::vector<double> approx_dq;
+
+  /// The hierarchy's per-query destination bound table (pt2pt and door
+  /// distances over HierarchyIndex; hierarchy_distance.cc).
+  HierarchyIndex::DestinationTable destination;
 
   // ---- high-water-mark decay ------------------------------------------
   // Long-lived serving threads (and the TLS fallback in particular) used

@@ -1,7 +1,9 @@
 #include "core/index/hierarchy_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <utility>
 
 #include "core/distance/d2d_runner.h"
@@ -305,35 +307,104 @@ bool HierarchyIndex::TryExact(DoorId s, DoorId t, double* out) const {
   return false;
 }
 
-double HierarchyIndex::UpperBound(DoorId s, DoorId t) const {
-  double exact;
-  if (TryExact(s, t, &exact)) return exact;
-  double best = kInfDistance;
-  for (int ss = 0; ss < 2; ++ss) {
-    const uint32_t cs = door_cells_[2 * s + ss];
-    if (cs == kNone) continue;
-    const double* srow = BlockRow(cs, door_locals_[2 * s + ss]);
-    const std::span<const DoorId> smembers = CellMembers(cs);
-    for (const uint32_t bl : CellBorderLocals(cs)) {
-      const double d1 = srow[bl];
-      if (d1 == kInfDistance) continue;
-      const double* brow = BorderRow(border_of_door_[smembers[bl]]);
-      for (int ts = 0; ts < 2; ++ts) {
-        const uint32_t ct = door_cells_[2 * t + ts];
-        if (ct == kNone) continue;
-        const uint32_t lt = door_locals_[2 * t + ts];
-        const std::span<const DoorId> tmembers = CellMembers(ct);
-        for (const uint32_t bl2 : CellBorderLocals(ct)) {
-          const double mid = brow[border_of_door_[tmembers[bl2]]];
-          if (mid == kInfDistance) continue;
-          const double d3 = BlockRow(ct, bl2)[lt];
-          if (d3 == kInfDistance) continue;
-          best = std::min(best, d1 + mid + d3);
-        }
+void HierarchyIndex::PrepareDestination(std::span<const DoorId> targets,
+                                        std::span<const double> legs,
+                                        DestinationTable* table) const {
+  INDOOR_CHECK(targets.size() == legs.size());
+  table->targets.clear();
+  table->cells.clear();
+  table->entries.clear();
+  for (size_t j = 0; j < targets.size(); ++j) {
+    if (legs[j] == kInfDistance) continue;
+    INDOOR_CHECK(targets[j] < door_count_);
+    table->targets.push_back({targets[j], legs[j]});
+    // One entry cell per target suffices: a path from outside the cell
+    // reaches the target through one of that cell's borders.
+    const uint32_t c = door_cells_[2 * targets[j]];
+    if (std::find(table->cells.begin(), table->cells.end(), c) ==
+        table->cells.end()) {
+      table->cells.push_back(c);
+    }
+  }
+  for (const uint32_t c : table->cells) {
+    const std::span<const DoorId> members = CellMembers(c);
+    for (const uint32_t bl : CellBorderLocals(c)) {
+      const double* row = BlockRow(c, bl);
+      double v = kInfDistance;
+      for (const DestinationTable::Target& t : table->targets) {
+        if (door_cells_[2 * t.door] != c) continue;
+        v = std::min(v, row[door_locals_[2 * t.door]] + t.leg);
+      }
+      if (v < kInfDistance) {
+        table->entries.emplace_back(border_of_door_[members[bl]], v);
       }
     }
   }
+  table->via.assign(border_count_, std::numeric_limits<double>::quiet_NaN());
+}
+
+double HierarchyIndex::DestinationBound(DoorId x,
+                                        DestinationTable* table) const {
+  INDOOR_CHECK(x < door_count_);
+  double best = kInfDistance;
+  bool all_shared = true;
+  for (const DestinationTable::Target& t : table->targets) {
+    double exact;
+    if (TryExact(x, t.door, &exact)) {
+      best = std::min(best, exact + t.leg);
+    } else {
+      all_shared = false;
+    }
+  }
+  // Every target shares a cell with x: the block entries are exact.
+  if (all_shared) return best;
+  for (int slot = 0; slot < 2; ++slot) {
+    const uint32_t c = door_cells_[2 * x + slot];
+    if (c == kNone) continue;
+    const double* row = BlockRow(c, door_locals_[2 * x + slot]);
+    const std::span<const DoorId> members = CellMembers(c);
+    for (const uint32_t bl : CellBorderLocals(c)) {
+      const double d1 = row[bl];
+      if (d1 >= best) continue;  // via[] >= 0 cannot bring it below best
+      const uint32_t b = border_of_door_[members[bl]];
+      double& via = table->via[b];
+      if (std::isnan(via)) {
+        const double* brow = BorderRow(b);
+        via = kInfDistance;
+        for (const auto& [slot2, value] : table->entries) {
+          via = std::min(via, brow[slot2] + value);
+        }
+      }
+      best = std::min(best, d1 + via);
+    }
+  }
   return best;
+}
+
+double HierarchyIndex::UpperBound(DoorId s, DoorId t) const {
+  DestinationTable table;
+  const double leg = 0.0;
+  PrepareDestination({&t, 1}, {&leg, 1}, &table);
+  return DestinationBound(s, &table);
+}
+
+size_t HierarchyIndex::DestinationTable::CapacityBytes() const {
+  return targets.capacity() * sizeof(Target) +
+         cells.capacity() * sizeof(uint32_t) +
+         entries.capacity() * sizeof(entries[0]) +
+         via.capacity() * sizeof(double);
+}
+
+size_t HierarchyIndex::DestinationTable::UsedBytes() const {
+  return targets.size() * sizeof(Target) + cells.size() * sizeof(uint32_t) +
+         entries.size() * sizeof(entries[0]) + via.size() * sizeof(double);
+}
+
+void HierarchyIndex::DestinationTable::ShrinkToFit() {
+  targets.shrink_to_fit();
+  cells.shrink_to_fit();
+  entries.shrink_to_fit();
+  via.shrink_to_fit();
 }
 
 size_t HierarchyIndex::MemoryBytes() const {

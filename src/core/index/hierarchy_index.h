@@ -22,13 +22,17 @@
 //    the target set have settled, and Dijkstra's settle-prefix property
 //    makes every settled distance bit-identical to the full run's — i.e.
 //    bit-identical to the flat Md2d entry.
-//  * Query paths (hierarchy_distance.cc, range_query.cc, knn_query.cc)
-//    serve intra-cell lookups straight from the blocks and answer
-//    inter-cell queries by running BOUNDED flat Dijkstras whose stop and
-//    push-prune conditions are provably loss-free; composed border sums
-//    are used ONLY as upper-bound caps on those runs (scaled by a safety
-//    margin that dominates the composition's rounding error), never as
-//    answers.
+//  * Query paths (hierarchy_distance.cc, door_distance_oracle.h) serve
+//    intra-cell lookups straight from the blocks and answer inter-cell
+//    queries by running BOUNDED flat Dijkstras whose stop and push-prune
+//    conditions are provably loss-free. Composed border sums enter those
+//    runs in two roles only, each scaled by a safety margin that
+//    dominates the composition's rounding error: as the run's cap, and —
+//    for pt2pt and door distances, which have a target set — as the
+//    per-door DESTINATION BOUND (DestinationBound) of the push prune,
+//    which keeps the search on near-shortest paths. They are never
+//    answers: every returned distance is a settled Dijkstra value or a
+//    stored entry.
 //
 // The flat Md2d path remains the default and the oracle: IndexOptions
 // selects the hierarchy explicitly, and the randomized equality suite
@@ -57,6 +61,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/distance/bucket_queue.h"
@@ -204,17 +209,53 @@ class HierarchyIndex {
   /// distance d(s -> t) from that cell's block and returns true.
   bool TryExact(DoorId s, DoorId t, double* out) const;
 
-  /// Upper bound on d(s -> t): the shared-cell exact value, else the best
-  /// block -> border-clique -> block composition. Composed sums carry
-  /// floating-point rounding, so callers must scale by a safety margin
-  /// (kUpperBoundSlack) before using the bound as a loss-free search cap;
-  /// +inf when no border route exists.
+  /// Per-query state of DestinationBound(): the targets with their legs,
+  /// the entry column (per border b' of a target's cell, the best
+  /// block(b' -> t_j) + leg_j) and the lazily filled per-border column
+  /// via[b] = min over b' of clique(b -> b') + entry(b'). Reusable across
+  /// queries (QueryScratch holds one per thread); one query at a time.
+  struct DestinationTable {
+    struct Target {
+      DoorId door;
+      double leg;
+    };
+    std::vector<Target> targets;   // finite-leg targets, caller order
+    std::vector<uint32_t> cells;   // distinct entry cells (slot 0 of a target)
+    std::vector<std::pair<uint32_t, double>> entries;  // (border slot, value)
+    std::vector<double> via;       // per border slot; NaN = not yet read
+
+    size_t CapacityBytes() const;
+    size_t UsedBytes() const;
+    void ShrinkToFit();
+  };
+
+  /// Arms `table` for the destination set {(targets[j], legs[j])}; a
+  /// target whose leg is +inf is dropped. O(entry-cell borders x targets)
+  /// plus an O(border_count()) reset of the lazy column.
+  void PrepareDestination(std::span<const DoorId> targets,
+                          std::span<const double> legs,
+                          DestinationTable* table) const;
+
+  /// Destination bound of door `x`: min over targets t_j of d(x, t_j) +
+  /// leg_j, served from the stored entries only — the block entry when x
+  /// shares a cell with t_j, else the composed block(x -> b) + clique(b ->
+  /// b') + block(b' -> t_j). In real arithmetic this EQUALS d(x, T) (a
+  /// path that leaves x's cell crosses one of its borders, and a path
+  /// into t_j's cell crosses one of that cell's borders), so +inf proves
+  /// no target is reachable. Composed sums carry rounding: scale by
+  /// kUpperBoundSlack before comparing against a float search total.
+  double DestinationBound(DoorId x, DestinationTable* table) const;
+
+  /// The single-target DestinationBound: the shared-cell exact value,
+  /// else the composed border route; +inf when t is unreachable. Builds
+  /// its own table, so query paths use DestinationBound with a scratch
+  /// table instead.
   double UpperBound(DoorId s, DoorId t) const;
 
-  /// Multiplicative slack that turns UpperBound() into a provably safe
-  /// Dijkstra cap: the composition's relative rounding error is a few
-  /// hundred ulps (~1e-13), so 1e-9 dominates it by orders of magnitude
-  /// while costing nothing measurable in search volume.
+  /// Multiplicative slack that turns a composed bound into a provably
+  /// safe Dijkstra cap or prune: the composition's relative rounding
+  /// error is a few hundred ulps (~1e-13), so 1e-9 dominates it by orders
+  /// of magnitude while costing nothing measurable in search volume.
   static constexpr double kUpperBoundSlack = 1.0 + 1e-9;
 
   /// Bytes across every array (identical for owned and mapped payloads).

@@ -239,7 +239,7 @@ void DoorDistanceOracle::ExpandUnderBound(DoorId di, double base,
         visit(dj, base + d);
         return true;
       },
-      [&](double cand) {
+      [&](DoorId, double cand) {
         if (base + cand > bound()) {
           pruned = true;
           return false;

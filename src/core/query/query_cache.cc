@@ -58,7 +58,9 @@ QueryCache::QueryCache(const FloorPlan& plan, const PartitionLocator& locator,
                    "cache.field"),
       host_cache_(options.host_capacity_bytes, options.shards, "cache.host"),
       result_cache_(options.result_capacity_bytes, options.shards,
-                    "cache.result") {
+                    "cache.result"),
+      field_doorkeeper_(
+          std::make_unique<std::atomic<uint64_t>[]>(kDoorkeeperSlots)) {
   INDOOR_CHECK(options.quantum > 0.0) << "cache_quantum must be positive";
 }
 
@@ -131,9 +133,22 @@ void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
   if (!hit) {
     buffer.resize(canonical.size());
     SolveField(kind, v, p, canonical, scratch, buffer.data());
-    field_cache_.Insert(
-        key, FieldEntry{p, buffer},
-        sizeof(FieldEntry) + canonical.size() * sizeof(double) + 96);
+    // Doorkeeper: insert on the second miss of this exact point only.
+    // The low bit keeps a fingerprint distinct from the empty slot.
+    const uint64_t fp =
+        Mix2(Mix2(FieldKeyHash{}(key), std::bit_cast<uint64_t>(p.x)),
+             std::bit_cast<uint64_t>(p.y)) |
+        1;
+    std::atomic<uint64_t>& slot =
+        field_doorkeeper_[(fp >> 1) & (kDoorkeeperSlots - 1)];
+    if (slot.load(std::memory_order_relaxed) == fp) {
+      field_cache_.Insert(
+          key, FieldEntry{p, buffer},
+          sizeof(FieldEntry) + canonical.size() * sizeof(double) + 96);
+    } else {
+      slot.store(fp, std::memory_order_relaxed);
+      INDOOR_COUNTER_INC("cache.field.deferred");
+    }
   }
   if (doors.size() == canonical.size()) {
     // Callers pass either the canonical list itself or an ascending
@@ -349,6 +364,9 @@ StaleResult& TlsStaleResult() {
 
 void QueryCache::Invalidate() const {
   field_cache_.Clear();
+  for (size_t i = 0; i < kDoorkeeperSlots; ++i) {
+    field_doorkeeper_[i].store(0, std::memory_order_relaxed);
+  }
   host_cache_.Clear();
   result_cache_.Clear();
   INDOOR_COUNTER_INC("cache.invalidations");

@@ -26,7 +26,15 @@
 // The exact range and kNN paths compute their q-to-door legs directly
 // (Locator::DistVMany): their whole answers are cached as results, so a
 // field entry per fresh position would only grow memory with the number
-// of distinct positions served.
+// of distinct positions served. For the same reason the field cache has a
+// DOORKEEPER: a field is inserted only on its second miss for the same
+// exact point. First misses are remembered in a fixed table of
+// kDoorkeeperSlots relaxed-atomic fingerprints of (key, exact point bits)
+// — 128 KB per cache — so a stream of fresh positions solves every field
+// once and leaves the cache empty (`cache.field.deferred` counts the
+// skipped inserts), while a repeated position is cached from its second
+// query on. A fingerprint collision or a lost race only moves an insert
+// one miss earlier or later; values are always solved exactly.
 //
 // A third cache shares whole range/kNN results across queries. Unlike the
 // field and host caches — which are pure geometry and never depend on the
@@ -63,6 +71,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -160,11 +169,16 @@ class QueryCache {
   /// Fills out[i] with the field value of doors[i], where `doors` must be
   /// a subset of the canonical door list of (kind, v) — LeaveDoors(v) for
   /// kLeaveFrom, EnterDoors(v) otherwise. Serves from the cached canonical
-  /// field on an exact-point hit; re-solves and caches it otherwise. A
+  /// field on an exact-point hit; re-solves it otherwise, and caches it
+  /// when the doorkeeper has seen this exact point miss before. A
   /// steady-state hit performs no heap allocations.
   void FieldLegs(FieldKind kind, PartitionId v, const Point& p,
                  std::span<const DoorId> doors, GeodesicScratch* scratch,
                  double* out) const;
+
+  /// Fingerprint slots of the field-cache doorkeeper (see the file
+  /// comment): 2^14 x 8 B.
+  static constexpr size_t kDoorkeeperSlots = size_t{1} << 14;
 
   /// Probes for a cached Qr(p, r) result on an exact-(point, radius,
   /// kind) match. kHit: every recorded partition epoch is current, `out`
@@ -347,6 +361,8 @@ class QueryCache {
   mutable ShardedCache<ResultKey, ResultEntry, ResultKeyHash> result_cache_;
   mutable std::atomic<uint64_t> epoch_rejects_{0};
   mutable std::atomic<uint64_t> repairs_{0};
+  // Doorkeeper fingerprints (0 = empty slot), kDoorkeeperSlots long.
+  std::unique_ptr<std::atomic<uint64_t>[]> field_doorkeeper_;
 };
 
 /// Read-through helpers used by the query algorithms: consult `cache`

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/query/distance_join.h"
@@ -20,6 +22,7 @@
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
 #include "indoor/sample_plans.h"
+#include "util/metrics.h"
 
 namespace indoor {
 namespace {
@@ -40,6 +43,23 @@ FloorPlan MakeCampus(int buildings, int floors, int rooms, uint64_t seed) {
   config.building.rooms_per_floor = rooms;
   config.seed = seed;
   config.building.seed = seed;
+  return GenerateCampus(config);
+}
+
+/// A campus with every generator feature that shapes door distances: one-
+/// way room-to-room doors (a directed door graph), obstructed rooms and
+/// parallel staircases (redundant vertical routes, more ties).
+FloorPlan MakeDirectedCampus(int buildings, int floors, int rooms,
+                             uint64_t seed) {
+  CampusConfig config;
+  config.buildings = buildings;
+  config.building.floors = floors;
+  config.building.rooms_per_floor = rooms;
+  config.building.room_to_room_doors = 0.5;
+  config.building.one_way_fraction = 0.5;
+  config.building.obstacle_probability = 0.5;
+  config.building.parallel_staircases = true;
+  config.seed = seed;
   return GenerateCampus(config);
 }
 
@@ -190,6 +210,127 @@ TEST(HierarchyIndexTest, RandomizedSeedsSweep) {
                          /*cell_target=*/8 << (seed % 3), seed);
   }
 }
+
+TEST(HierarchyIndexTest, DirectedObstructedCampusMatchesFlatBitwise) {
+  // One-way doors make block rows and clique entries asymmetric, so the
+  // destination bound must compose them in the travel direction.
+  for (const unsigned cell_target : {1u, 8u}) {
+    const FloorPlan plan = MakeDirectedCampus(2, 3, 8, 51 + cell_target);
+    ExpectEngineEquality(plan, /*cache=*/true, /*bucket=*/true, cell_target,
+                         /*seed=*/7 + cell_target);
+    ExpectEngineEquality(plan, /*cache=*/false, /*bucket=*/false,
+                         cell_target, /*seed=*/9 + cell_target);
+  }
+}
+
+TEST(HierarchyIndexTest, GoalDirectedSweepMatchesFlatBitwise) {
+  // The goal-directed runs prune by a composed bound; this sweep checks
+  // 20K pt2pt and 20K door pairs bit for bit against the flat engine on
+  // a plain and a directed, obstructed campus.
+  struct Config {
+    FloorPlan plan;
+    unsigned cell_target;
+  };
+  const Config configs[] = {{MakeCampus(3, 3, 10, 61), 16},
+                            {MakeDirectedCampus(3, 2, 10, 62), 8}};
+  size_t pt2pt_pairs = 0, door_pairs = 0;
+  for (const Config& config : configs) {
+    QueryEngine flat(config.plan, FlatOptions(false, true));
+    QueryEngine hier(config.plan,
+                     HierOptions(false, true, config.cell_target));
+    ASSERT_GT(hier.index().hierarchy_index().border_count(), 0u);
+    Rng rng(config.cell_target);
+    for (const auto& [a, b] : GeneratePositionPairs(config.plan, 10000, &rng)) {
+      const double df = flat.Distance(a, b);
+      const double dh = hier.Distance(a, b);
+      ASSERT_TRUE(BitEq(df, dh))
+          << "pt2pt mismatch: flat " << df << " vs hierarchy " << dh;
+      ++pt2pt_pairs;
+    }
+    const size_t n = config.plan.door_count();
+    for (int i = 0; i < 10000; ++i) {
+      const DoorId s = static_cast<DoorId>(rng.NextU64(n));
+      const DoorId t = static_cast<DoorId>(rng.NextU64(n));
+      ASSERT_TRUE(BitEq(flat.DoorDistance(s, t), hier.DoorDistance(s, t)))
+          << "door pair (" << s << ", " << t << ")";
+      ++door_pairs;
+    }
+  }
+  EXPECT_EQ(pt2pt_pairs, 20000u);
+  EXPECT_EQ(door_pairs, 20000u);
+}
+
+TEST(HierarchyIndexTest, DestinationBoundEqualsDistanceUpToSlack) {
+  // In real arithmetic the bound is d(x, T) over the target legs; the
+  // float composition may differ from the Md2d value only by rounding,
+  // far inside kUpperBoundSlack, and is +inf exactly when no target is
+  // reachable. Cell target 1 makes one-way doors borders, so the clique
+  // is asymmetric and must be read in the travel direction.
+  const FloorPlan plan = MakeDirectedCampus(3, 2, 8, 71);
+  const DistanceGraph graph(plan);
+  const DistanceMatrix md2d(graph);
+  const HierarchyIndex fine = HierarchyIndex::Build(graph, 1, 1);
+  const HierarchyIndex coarse = HierarchyIndex::Build(graph, 1, 8);
+  ASSERT_GT(coarse.border_count(), 0u);
+  const size_t n = plan.door_count();
+  Rng rng(72);
+  HierarchyIndex::DestinationTable table;
+  for (int q = 0; q < 200; ++q) {
+    const HierarchyIndex& hier = (q / 4) % 2 == 0 ? fine : coarse;
+    std::vector<DoorId> targets(1 + q % 4);
+    std::vector<double> legs(targets.size());
+    for (size_t j = 0; j < targets.size(); ++j) {
+      targets[j] = static_cast<DoorId>(rng.NextU64(n));
+      legs[j] = j == 1 ? kInfDistance : rng.NextDouble() * 20.0;
+    }
+    hier.PrepareDestination(targets, legs, &table);
+    for (DoorId x = 0; x < n; x += 3) {
+      double want = kInfDistance;
+      for (size_t j = 0; j < targets.size(); ++j) {
+        if (legs[j] == kInfDistance) continue;
+        want = std::min(want, md2d.At(x, targets[j]) + legs[j]);
+      }
+      const double got = hier.DestinationBound(x, &table);
+      if (want == kInfDistance) {
+        EXPECT_EQ(got, kInfDistance) << "door " << x;
+        continue;
+      }
+      EXPECT_LE(got, want * HierarchyIndex::kUpperBoundSlack) << "door " << x;
+      EXPECT_GE(got * HierarchyIndex::kUpperBoundSlack, want) << "door " << x;
+    }
+  }
+}
+
+#ifdef INDOOR_METRICS_ENABLED
+TEST(HierarchyIndexTest, CrossBuildingPt2PtSettlesFewDoors) {
+  // The destination bound keeps a cross-building search on near-shortest
+  // paths: each query settles under 10% of the plan's doors, where an
+  // unguided bounded run settles most of the campus.
+  const FloorPlan plan = MakeCampus(4, 4, 12, 81);
+  QueryEngine hier(plan, HierOptions(false, true, 32));
+  const size_t n = plan.door_count();
+  auto building = [&](const Point& p) {
+    const auto v = hier.Locate(p);
+    return v.ok() ? plan.partition(v.value()).name().substr(0, 3)
+                  : std::string();
+  };
+  metrics::Counter& settles = metrics::MetricsRegistry::Global().GetCounter(
+      "distance.dijkstra.settles");
+  Rng rng(82);
+  size_t checked = 0;
+  for (const auto& [a, b] : GeneratePositionPairs(plan, 400, &rng)) {
+    const std::string ba = building(a), bb = building(b);
+    if (ba.empty() || bb.empty() || ba == bb) continue;
+    const uint64_t before = settles.Value();
+    const double d = hier.Distance(a, b);
+    ASSERT_LT(d, kInfDistance);
+    EXPECT_LT(10 * (settles.Value() - before), n)
+        << "pair " << checked << " from " << ba << " to " << bb;
+    ++checked;
+  }
+  EXPECT_GT(checked, 100u);
+}
+#endif  // INDOOR_METRICS_ENABLED
 
 TEST(HierarchyIndexTest, DoorDistanceMatchesMatrixBitwise) {
   const FloorPlan plan = MakeCampus(2, 2, 8, 7);

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -278,8 +280,12 @@ TEST(QueryCacheInvalidationTest, InvalidateClearsEntries) {
   Rng rng(82);
   // pt2pt fills the field cache; range fills the result cache (its legs
   // bypass the field cache); both fill the host cache.
+  // The field cache's doorkeeper inserts a field on its second miss, so
+  // the pt2pt fill runs twice.
   const auto pairs = GeneratePositionPairs(engine.plan(), 8, &rng);
-  for (const auto& [a, b] : pairs) engine.Distance(a, b);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [a, b] : pairs) engine.Distance(a, b);
+  }
   const auto positions = GenerateQueryPositions(engine.plan(), 8, &rng);
   for (const Point& q : positions) engine.Range(q, 20.0);
   const QueryCache* cache = engine.index().query_cache();
@@ -290,6 +296,97 @@ TEST(QueryCacheInvalidationTest, InvalidateClearsEntries) {
   EXPECT_EQ(cache->FieldStats().entries, 0u);
   EXPECT_EQ(cache->HostStats().entries, 0u);
   EXPECT_EQ(cache->ResultStats().entries, 0u);
+}
+
+// ---------------------------------------------------- field doorkeeper
+
+// A field is inserted on the second miss of its exact point and served
+// from the third lookup on; a quantum collision still re-solves, and the
+// colliding point's first miss leaves the cached entry in place.
+TEST(QueryCacheDoorkeeperTest, InsertsOnSecondMissOfTheSamePoint) {
+  QueryEngine engine(GenerateBuilding(SmallBuilding(57, 0.5)),
+                     CacheOptions(true));
+  const QueryCache& cache = *engine.index().query_cache();
+  const PartitionLocator& locator = engine.index().locator();
+  const double quantum = cache.options().quantum;
+  Rng rng(58);
+  // A point and a second one in the same quantum cell and partition.
+  Point p, near;
+  PartitionId host = kInvalidId;
+  for (int attempt = 0; attempt < 100 && host == kInvalidId; ++attempt) {
+    p = RandomIndoorPosition(engine.plan(), &rng);
+    const double fx = p.x / quantum - std::floor(p.x / quantum);
+    const double fy = p.y / quantum - std::floor(p.y / quantum);
+    near = Point(p.x + (fx < 0.5 ? 1 : -1) * quantum / 16.0,
+                 p.y + (fy < 0.5 ? 1 : -1) * quantum / 16.0);
+    const auto hp = locator.GetHostPartition(p);
+    const auto hn = locator.GetHostPartition(near);
+    if (hp.ok() && hn.ok() && hp.value() == hn.value() &&
+        !engine.plan().LeaveDoors(hp.value()).empty()) {
+      host = hp.value();
+    }
+  }
+  ASSERT_NE(host, kInvalidId);
+  const std::vector<DoorId>& doors = engine.plan().LeaveDoors(host);
+  GeodesicScratch geo;
+  std::vector<double> expect_p(doors.size()), expect_near(doors.size());
+  locator.DistVMany(host, p, doors, &geo, expect_p.data());
+  locator.DistVMany(host, near, doors, &geo, expect_near.data());
+  std::vector<double> got(doors.size());
+  auto lookup = [&](const Point& q) {
+    std::fill(got.begin(), got.end(), -1.0);
+    cache.FieldLegs(FieldKind::kLeaveFrom, host, q, doors, &geo, got.data());
+  };
+
+  lookup(p);  // first miss: solved exactly, not inserted
+  EXPECT_EQ(got, expect_p);
+  EXPECT_EQ(cache.FieldStats().misses, 1u);
+  EXPECT_EQ(cache.FieldStats().insertions, 0u);
+  EXPECT_EQ(cache.FieldStats().entries, 0u);
+
+  lookup(p);  // second miss: inserted
+  EXPECT_EQ(got, expect_p);
+  EXPECT_EQ(cache.FieldStats().misses, 2u);
+  EXPECT_EQ(cache.FieldStats().insertions, 1u);
+  EXPECT_EQ(cache.FieldStats().entries, 1u);
+
+  lookup(p);  // third lookup: hit
+  EXPECT_EQ(got, expect_p);
+  EXPECT_EQ(cache.FieldStats().hits, 1u);
+
+  lookup(near);  // quantum collision: re-solved, entry of p kept
+  EXPECT_EQ(got, expect_near);
+  EXPECT_EQ(cache.FieldStats().misses, 3u);
+  EXPECT_EQ(cache.FieldStats().insertions, 1u);
+  lookup(p);
+  EXPECT_EQ(got, expect_p);
+  EXPECT_EQ(cache.FieldStats().hits, 2u);
+
+  lookup(near);  // the colliding point's second miss replaces the entry
+  EXPECT_EQ(got, expect_near);
+  EXPECT_EQ(cache.FieldStats().insertions, 2u);
+  EXPECT_EQ(cache.FieldStats().entries, 1u);
+  lookup(near);
+  EXPECT_EQ(got, expect_near);
+  EXPECT_EQ(cache.FieldStats().hits, 3u);
+}
+
+// Positions served once each never enter the field cache.
+TEST(QueryCacheDoorkeeperTest, FreshPositionStreamLeavesFieldCacheEmpty) {
+  QueryEngine cached(GenerateBuilding(SmallBuilding(59, 0.5)),
+                     CacheOptions(true));
+  QueryEngine uncached(GenerateBuilding(SmallBuilding(59, 0.5)),
+                       CacheOptions(false));
+  Rng rng(60);
+  const auto pairs = GeneratePositionPairs(cached.plan(), 200, &rng);
+  for (const auto& [a, b] : pairs) {
+    EXPECT_EQ(cached.Distance(a, b), uncached.Distance(a, b));
+  }
+  const CacheStats stats = cached.index().query_cache()->FieldStats();
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 // --------------------------------------------------------- eviction bound

@@ -486,8 +486,12 @@ TEST(UpdateIngestTest, GeometryCacheEntriesSurviveWrites) {
                 &engine.index().objects());
   const QueryCache& cache = *engine.index().query_cache();
 
+  // The field cache's doorkeeper inserts a field on its second miss, so
+  // the pt2pt fill runs twice.
   const auto pairs = GeneratePositionPairs(engine.plan(), 4, &rng);
-  for (const auto& [a, b] : pairs) engine.Distance(a, b);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [a, b] : pairs) engine.Distance(a, b);
+  }
   const uint64_t field_entries = cache.FieldStats().entries;
   const uint64_t host_entries = cache.HostStats().entries;
   ASSERT_GT(field_entries, 0u);
