@@ -45,11 +45,13 @@ void SearchSide(const IndexFramework& index, PartitionId part, DoorId dj,
                                                 hot_before);)
 }
 
-/// Spare neighbors cached beyond the requested k. A fresh solve collects
-/// the top-(k + spares) so that repair can absorb cached neighbors moving
-/// AWAY without losing the ability to serve an exact top-k: the spares
-/// are the fill-ins a plain k-sized list would have to re-solve for. The
-/// served result is always the leading k entries.
+/// Spare neighbors cached beyond the requested k. A solve whose result
+/// is cached collects the top-(k + spares) so that repair can absorb
+/// cached neighbors moving AWAY without losing the ability to serve an
+/// exact top-k: the spares are the fill-ins a plain k-sized list would
+/// have to re-solve for. The served result is always the leading k
+/// entries. Uncached solves (cache off, or a doorkeeper first miss)
+/// collect exactly k: spares only widen the pruning bound.
 constexpr size_t kKnnRepairSpares = 4;
 
 enum class KnnRepair : uint8_t {
@@ -369,6 +371,9 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   // The repair machinery is engine-independent (gates + intra-partition
   // geometry only); the kind only keeps the engines' entries apart.
   const uint8_t result_kind = oracle.knn_result_kind();
+  // Whether this solve is recorded and cached: not on a first miss, which
+  // the doorkeeper leaves out of the cache (query_cache.h).
+  bool record = cache != nullptr;
   if (cache != nullptr) {
     std::vector<Neighbor> cached;
     StaleResult& stale = TlsStaleResult();
@@ -391,6 +396,9 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
         cache->CountEpochReject();
         break;  // fall through to the full search
       }
+      case ResultProbe::kFirstMiss:
+        record = false;
+        break;
       case ResultProbe::kMiss:
         break;
     }
@@ -399,7 +407,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   const ScratchDecayGuard decay_guard(scratch);
   std::vector<PartitionId>* deps = nullptr;
   std::vector<ResultGate>* gates = nullptr;
-  if (cache != nullptr) {
+  if (record) {
     deps = &scratch->result_deps;
     deps->clear();
     deps->push_back(v);  // the host bucket is always examined
@@ -408,12 +416,14 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   }
 
   KnnCollector& collector = scratch->collector;
-  // With caching on, solve for k + spares so the cached list can absorb
-  // future removals in repair; the served answer is the leading k either
-  // way (a wider collector only ever visits a superset of doors, and
-  // pruned doors offer at or beyond the running bound, so the top-k
-  // prefix is unaffected).
-  collector.Reset(cache != nullptr ? k + kKnnRepairSpares : k);
+  // A recorded solve collects k + spares so the cached list can absorb
+  // future removals in repair; an unrecorded one collects exactly k, whose
+  // tighter bound prunes more doors (and, on the hierarchy, shortens the
+  // bounded Dijkstra runs). The served answer is the leading k either way:
+  // a wider collector only ever visits a superset of doors, and pruned
+  // doors offer at or beyond the running bound, so the top-k prefix is
+  // unaffected.
+  collector.Reset(record ? k + kKnnRepairSpares : k);
   // Line 3: search the host partition directly.
   INDOOR_METRICS_ONLY(
       const uint64_t hot_before = scratch->bucket.objects_tested;
@@ -457,7 +467,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
       FlushBucketStats(&scratch->bucket);
       index.hotness().FlushVisits(&scratch->bucket.hot);)
   std::vector<Neighbor> sorted = collector.Sorted();
-  if (cache != nullptr) {
+  if (record) {
     cache->InsertKnnResult(q, k, result_kind, *deps, *gates, sorted);
   }
   if (sorted.size() > k) sorted.resize(k);

@@ -27,6 +27,26 @@ uint64_t Mix2(uint64_t a, uint64_t b) {
 
 }  // namespace
 
+Doorkeeper::Doorkeeper()
+    : slots_(std::make_unique<std::atomic<uint64_t>[]>(kSlots)) {}
+
+bool Doorkeeper::SecondMiss(uint64_t key_hash, const Point& p) const {
+  // The low bit keeps a fingerprint distinct from the empty slot.
+  const uint64_t fp = Mix2(Mix2(key_hash, std::bit_cast<uint64_t>(p.x)),
+                           std::bit_cast<uint64_t>(p.y)) |
+                      1;
+  std::atomic<uint64_t>& slot = slots_[(fp >> 1) & (kSlots - 1)];
+  if (slot.load(std::memory_order_relaxed) == fp) return true;
+  slot.store(fp, std::memory_order_relaxed);
+  return false;
+}
+
+void Doorkeeper::Clear() const {
+  for (size_t i = 0; i < kSlots; ++i) {
+    slots_[i].store(0, std::memory_order_relaxed);
+  }
+}
+
 size_t QueryCache::FieldKeyHash::operator()(const FieldKey& k) const {
   const uint64_t tag =
       (static_cast<uint64_t>(k.part) << 8) | static_cast<uint64_t>(k.kind);
@@ -58,9 +78,7 @@ QueryCache::QueryCache(const FloorPlan& plan, const PartitionLocator& locator,
                    "cache.field"),
       host_cache_(options.host_capacity_bytes, options.shards, "cache.host"),
       result_cache_(options.result_capacity_bytes, options.shards,
-                    "cache.result"),
-      field_doorkeeper_(
-          std::make_unique<std::atomic<uint64_t>[]>(kDoorkeeperSlots)) {
+                    "cache.result") {
   INDOOR_CHECK(options.quantum > 0.0) << "cache_quantum must be positive";
 }
 
@@ -80,9 +98,13 @@ Result<PartitionId> QueryCache::HostPartition(const Point& p) const {
   if (hit) return cached;
   Result<PartitionId> resolved = locator_->GetHostPartition(p);
   if (resolved.ok()) {
-    // The charge approximates the map node + list node footprint.
-    host_cache_.Insert(key, HostEntry{p, resolved.value()},
-                       sizeof(HostEntry) + 96);
+    if (host_doorkeeper_.SecondMiss(HostKeyHash{}(key), p)) {
+      // The charge approximates the map node + list node footprint.
+      host_cache_.Insert(key, HostEntry{p, resolved.value()},
+                         sizeof(HostEntry) + 96);
+    } else {
+      INDOOR_COUNTER_INC("cache.host.deferred");
+    }
   }
   return resolved;
 }
@@ -133,20 +155,11 @@ void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
   if (!hit) {
     buffer.resize(canonical.size());
     SolveField(kind, v, p, canonical, scratch, buffer.data());
-    // Doorkeeper: insert on the second miss of this exact point only.
-    // The low bit keeps a fingerprint distinct from the empty slot.
-    const uint64_t fp =
-        Mix2(Mix2(FieldKeyHash{}(key), std::bit_cast<uint64_t>(p.x)),
-             std::bit_cast<uint64_t>(p.y)) |
-        1;
-    std::atomic<uint64_t>& slot =
-        field_doorkeeper_[(fp >> 1) & (kDoorkeeperSlots - 1)];
-    if (slot.load(std::memory_order_relaxed) == fp) {
+    if (field_doorkeeper_.SecondMiss(FieldKeyHash{}(key), p)) {
       field_cache_.Insert(
           key, FieldEntry{p, buffer},
           sizeof(FieldEntry) + canonical.size() * sizeof(double) + 96);
     } else {
-      slot.store(fp, std::memory_order_relaxed);
       INDOOR_COUNTER_INC("cache.field.deferred");
     }
   }
@@ -206,8 +219,9 @@ ResultProbe QueryCache::ProbeResult(uint8_t kind, const Point& p,
                                     StaleResult* stale) const {
   bool rejected = false;
   bool repairable = false;
+  const ResultKey key = MakeResultKey(kind, p, param);
   const bool hit = result_cache_.Lookup(
-      MakeResultKey(kind, p, param), [&](const ResultEntry& entry) {
+      key, [&](const ResultEntry& entry) {
         if (!(entry.p == p) || entry.param != param) {
           return false;  // quantum collision: re-solve
         }
@@ -233,7 +247,14 @@ ResultProbe QueryCache::ProbeResult(uint8_t kind, const Point& p,
   }
   qlog::AddCacheLookup(hit);
   if (hit) return ResultProbe::kHit;
-  return repairable ? ResultProbe::kStale : ResultProbe::kMiss;
+  if (repairable) return ResultProbe::kStale;
+  // A rejected entry of this exact key is replaced at once; any other
+  // miss is a key the doorkeeper decides on.
+  if (rejected || result_doorkeeper_.SecondMiss(ResultKeyHash{}(key), p)) {
+    return ResultProbe::kMiss;
+  }
+  INDOOR_COUNTER_INC("cache.result.deferred");
+  return ResultProbe::kFirstMiss;
 }
 
 ResultProbe QueryCache::ProbeRangeResult(const Point& p, double r,
@@ -364,11 +385,11 @@ StaleResult& TlsStaleResult() {
 
 void QueryCache::Invalidate() const {
   field_cache_.Clear();
-  for (size_t i = 0; i < kDoorkeeperSlots; ++i) {
-    field_doorkeeper_[i].store(0, std::memory_order_relaxed);
-  }
   host_cache_.Clear();
   result_cache_.Clear();
+  field_doorkeeper_.Clear();
+  host_doorkeeper_.Clear();
+  result_doorkeeper_.Clear();
   INDOOR_COUNTER_INC("cache.invalidations");
 }
 

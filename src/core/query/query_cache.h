@@ -26,15 +26,7 @@
 // The exact range and kNN paths compute their q-to-door legs directly
 // (Locator::DistVMany): their whole answers are cached as results, so a
 // field entry per fresh position would only grow memory with the number
-// of distinct positions served. For the same reason the field cache has a
-// DOORKEEPER: a field is inserted only on its second miss for the same
-// exact point. First misses are remembered in a fixed table of
-// kDoorkeeperSlots relaxed-atomic fingerprints of (key, exact point bits)
-// — 128 KB per cache — so a stream of fresh positions solves every field
-// once and leaves the cache empty (`cache.field.deferred` counts the
-// skipped inserts), while a repeated position is cached from its second
-// query on. A fingerprint collision or a lost race only moves an insert
-// one miss earlier or later; values are always solved exactly.
+// of distinct positions served.
 //
 // A third cache shares whole range/kNN results across queries. Unlike the
 // field and host caches — which are pure geometry and never depend on the
@@ -58,6 +50,26 @@
 // provably perturbs a kNN result does the lookup fall back to a full
 // reject (counted as `cache.epoch_rejects`); the entry is then replaced
 // when the query re-solves. Geometry entries survive every write.
+//
+// DOORKEEPER. All three caches admit an entry only on the SECOND miss of
+// the same exact key. One Doorkeeper per cache remembers first misses in
+// a fixed table of Doorkeeper::kSlots relaxed-atomic fingerprints of
+// (cache key, exact point bits), 128 KB per cache; the result key also
+// carries the query flavor and the radius/k bits. Workloads that query
+// from fresh positions (the paper's random range/kNN positions) thus
+// solve every field, host lookup and result once and leave the caches
+// empty instead of paying for inserts and evictions that never hit
+// (`cache.field.deferred`, `cache.host.deferred` and
+// `cache.result.deferred` count the skipped inserts); a repeated position
+// is cached from its second query on. A first result miss is reported as
+// ResultProbe::kFirstMiss, and the query solves it without recording
+// dependencies or gates (and kNN without repair spares). Misses caused by
+// an existing entry of the same exact key (an epoch reject, or a stale
+// kNN entry whose repair fails) re-solve with recording and replace the
+// entry at once; a quantum collision with a different point is a miss of
+// a new key and goes through the doorkeeper. A fingerprint collision or a
+// lost race only moves an insert one miss earlier or later; values are
+// always solved exactly.
 //
 // Threading: all methods are safe for any number of concurrent callers
 // (sharded LRU with per-shard locking, see util/sharded_cache.h). Epoch
@@ -133,9 +145,13 @@ struct ResultGate {
 
 /// Probe verdict for a cached range/kNN result.
 enum class ResultProbe : uint8_t {
-  kHit,    ///< current entry served into `out`
-  kMiss,   ///< no usable entry (includes unrepairable stale = epoch reject)
-  kStale,  ///< stale but repairable: StaleResult filled, caller repairs
+  kHit,        ///< current entry served into `out`
+  kMiss,       ///< no usable entry; solve, record and insert (includes an
+               ///< unrepairable stale entry = epoch reject, and the second
+               ///< miss of a key the doorkeeper remembers)
+  kStale,      ///< stale but repairable: StaleResult filled, caller repairs
+  kFirstMiss,  ///< first miss of this exact key: solve without recording
+               ///< and do not insert
 };
 
 /// Repair workspace handed back by a kStale probe: the cached payload,
@@ -153,6 +169,28 @@ struct StaleResult {
 /// buffer: one query at a time per thread, capacity persists.
 StaleResult& TlsStaleResult();
 
+/// Second-miss admission filter shared in shape by the field, host and
+/// result caches (see the file comment): kSlots relaxed-atomic
+/// fingerprints, one table per cache, cleared only by Clear().
+class Doorkeeper {
+ public:
+  /// Fingerprint slots per table: 2^14 x 8 B.
+  static constexpr size_t kSlots = size_t{1} << 14;
+
+  Doorkeeper();
+
+  /// Called on a miss of (cache key with hash `key_hash`, exact point p).
+  /// True when the same fingerprint is remembered (the second miss: the
+  /// caller inserts); otherwise remembers this miss and returns false.
+  bool SecondMiss(uint64_t key_hash, const Point& p) const;
+
+  void Clear() const;
+
+ private:
+  // Fingerprints (0 = empty slot), kSlots long.
+  std::unique_ptr<std::atomic<uint64_t>[]> slots_;
+};
+
 /// The serving-layer caches over one index whose geometry is immutable
 /// but whose object population moves. The plan, locator, and object store
 /// must outlive the cache.
@@ -163,7 +201,8 @@ class QueryCache {
 
   /// getHostPartition(p) through the cache: returns the cached partition
   /// on an exact-point hit, otherwise delegates to the locator and caches
-  /// positive results. Error results (outdoor points) are never cached.
+  /// a positive result on the second miss of the exact point. Error
+  /// results (outdoor points) are never cached.
   Result<PartitionId> HostPartition(const Point& p) const;
 
   /// Fills out[i] with the field value of doors[i], where `doors` must be
@@ -185,10 +224,13 @@ class QueryCache {
   /// is filled. kStale (only when `stale` is non-null): epochs moved but
   /// the change journals cover the delta with at most kMaxRepairObjects
   /// distinct objects — `stale` is filled and the caller is expected to
-  /// repair and CommitRepairedRange. kMiss otherwise; an unrepairable
-  /// stale entry counts as an epoch reject. `kind` discriminates query
-  /// flavors that may not be bit-identical (use_index_matrix modes); the
-  /// query call sites own the encoding.
+  /// repair and CommitRepairedRange. kFirstMiss when no entry of this
+  /// exact key exists and the doorkeeper had not seen it miss (the caller
+  /// solves without recording and skips the insert); kMiss otherwise, and
+  /// an unrepairable stale entry counts as an epoch reject. Every keyless
+  /// miss reaches the doorkeeper, a Lookup's included. `kind`
+  /// discriminates query flavors that may not be bit-identical
+  /// (use_index_matrix modes); the query call sites own the encoding.
   ResultProbe ProbeRangeResult(const Point& p, double r, uint8_t kind,
                                std::vector<ObjectId>* out,
                                StaleResult* stale) const;
@@ -361,8 +403,11 @@ class QueryCache {
   mutable ShardedCache<ResultKey, ResultEntry, ResultKeyHash> result_cache_;
   mutable std::atomic<uint64_t> epoch_rejects_{0};
   mutable std::atomic<uint64_t> repairs_{0};
-  // Doorkeeper fingerprints (0 = empty slot), kDoorkeeperSlots long.
-  std::unique_ptr<std::atomic<uint64_t>[]> field_doorkeeper_;
+  // Kept last: placed between the caches, a table pointer measurably
+  // slowed cache hits.
+  Doorkeeper field_doorkeeper_;
+  Doorkeeper host_doorkeeper_;
+  Doorkeeper result_doorkeeper_;
 };
 
 /// Read-through helpers used by the query algorithms: consult `cache`

@@ -129,6 +129,9 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   // The repair machinery is engine-independent (gates + intra-partition
   // geometry only); the kind only keeps the engines' entries apart.
   const uint8_t result_kind = oracle.range_result_kind();
+  // Whether this solve is recorded and cached: not on a first miss, which
+  // the doorkeeper leaves out of the cache (query_cache.h).
+  bool record = cache != nullptr;
   if (cache != nullptr) {
     StaleResult& stale = TlsStaleResult();
     switch (cache->ProbeRangeResult(q, r, result_kind, &result, &stale)) {
@@ -143,6 +146,9 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
         result = std::move(stale.ids);
         return Served(std::move(result), &qscope);
       }
+      case ResultProbe::kFirstMiss:
+        record = false;
+        break;
       case ResultProbe::kMiss:
         break;
     }
@@ -151,7 +157,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   const ScratchDecayGuard decay_guard(scratch);
   std::vector<PartitionId>* deps = nullptr;
   std::vector<ResultGate>* gates = nullptr;
-  if (cache != nullptr) {
+  if (record) {
     deps = &scratch->result_deps;
     deps->clear();
     deps->push_back(v);  // the host bucket is always examined
@@ -211,7 +217,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
 
   std::sort(result.begin(), result.end());
   result.erase(std::unique(result.begin(), result.end()), result.end());
-  if (cache != nullptr) {
+  if (record) {
     cache->InsertRangeResult(q, r, result_kind, *deps, *gates, result);
   }
   return Served(std::move(result), &qscope);

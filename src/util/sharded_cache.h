@@ -229,7 +229,10 @@ class ShardedCache {
     Value value;
     size_t bytes;
   };
-  struct Shard {
+  // Cache-line aligned: every lookup locks its shard's mutex, and in an
+  // unaligned array a shard's lock can share a line with its neighbour's
+  // list and map, so readers of different shards contend.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> map;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -280,14 +281,14 @@ TEST(QueryCacheInvalidationTest, InvalidateClearsEntries) {
   Rng rng(82);
   // pt2pt fills the field cache; range fills the result cache (its legs
   // bypass the field cache); both fill the host cache.
-  // The field cache's doorkeeper inserts a field on its second miss, so
-  // the pt2pt fill runs twice.
+  // Each cache's doorkeeper inserts an entry on its second miss, so both
+  // fills run twice.
   const auto pairs = GeneratePositionPairs(engine.plan(), 8, &rng);
+  const auto positions = GenerateQueryPositions(engine.plan(), 8, &rng);
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& [a, b] : pairs) engine.Distance(a, b);
+    for (const Point& q : positions) engine.Range(q, 20.0);
   }
-  const auto positions = GenerateQueryPositions(engine.plan(), 8, &rng);
-  for (const Point& q : positions) engine.Range(q, 20.0);
   const QueryCache* cache = engine.index().query_cache();
   EXPECT_GT(cache->FieldStats().entries, 0u);
   EXPECT_GT(cache->HostStats().entries, 0u);
@@ -387,6 +388,303 @@ TEST(QueryCacheDoorkeeperTest, FreshPositionStreamLeavesFieldCacheEmpty) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.entries, 0u);
+}
+
+// ---------------------------------------------- host and result doorkeeper
+
+// A cached engine and an uncached twin over one populated building.
+struct EnginePair {
+  EnginePair(uint64_t seed, IndexOptions options)
+      : cached(GenerateBuilding(SmallBuilding(seed, 0.5)),
+               WithCache(options, true)),
+        uncached(GenerateBuilding(SmallBuilding(seed, 0.5)),
+                 WithCache(options, false)) {
+    Rng rng(seed + 1);
+    const auto objects = GenerateObjects(cached.plan(), 300, &rng);
+    PopulateStore(objects, &cached.index().objects());
+    PopulateStore(objects, &uncached.index().objects());
+  }
+  static IndexOptions WithCache(IndexOptions options, bool enabled) {
+    options.enable_query_cache = enabled;
+    return options;
+  }
+  const QueryCache& cache() const { return *cached.index().query_cache(); }
+
+  QueryEngine cached;
+  QueryEngine uncached;
+};
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& got,
+                         const std::vector<Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].id, want[j].id) << "neighbor " << j;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[j].distance),
+              std::bit_cast<uint64_t>(want[j].distance))
+        << "neighbor " << j;
+  }
+}
+
+// Sentinels in the recording buffers show whether a solve recorded its
+// dependencies and gates: a first miss must leave both untouched.
+constexpr PartitionId kSentinelPart = 0x7fff0000u;
+
+void ArmRecordingSentinels(QueryScratch* scratch) {
+  scratch->result_deps.assign(1, kSentinelPart);
+  TlsStaleResult().gates.assign(1, ResultGate{kSentinelPart, 0, 0.0, 0.0});
+}
+
+bool RecordingSentinelsIntact(const QueryScratch& scratch) {
+  const std::vector<ResultGate>& gates = TlsStaleResult().gates;
+  return scratch.result_deps.size() == 1 &&
+         scratch.result_deps[0] == kSentinelPart && gates.size() == 1 &&
+         gates[0].part == kSentinelPart;
+}
+
+TEST(QueryCacheDoorkeeperTest, HostInsertsOnSecondMissOfTheSamePoint) {
+  QueryEngine engine(GenerateBuilding(SmallBuilding(63, 0.5)),
+                     CacheOptions(true));
+  const QueryCache& cache = *engine.index().query_cache();
+  Rng rng(64);
+  const Point p = RandomIndoorPosition(engine.plan(), &rng);
+  const auto direct = engine.index().locator().GetHostPartition(p);
+  ASSERT_TRUE(direct.ok());
+
+  EXPECT_EQ(engine.Locate(p).value(), direct.value());  // first miss
+  EXPECT_EQ(cache.HostStats().misses, 1u);
+  EXPECT_EQ(cache.HostStats().insertions, 0u);
+  EXPECT_EQ(cache.HostStats().entries, 0u);
+  EXPECT_EQ(engine.Locate(p).value(), direct.value());  // second miss
+  EXPECT_EQ(cache.HostStats().misses, 2u);
+  EXPECT_EQ(cache.HostStats().insertions, 1u);
+  EXPECT_EQ(cache.HostStats().entries, 1u);
+  EXPECT_EQ(engine.Locate(p).value(), direct.value());  // hit
+  EXPECT_EQ(cache.HostStats().hits, 1u);
+  EXPECT_EQ(cache.HostStats().insertions, 1u);
+}
+
+// Range and kNN: the first miss is solved exactly without recording or
+// inserting, the second is recorded and inserted, the third hits.
+TEST(QueryCacheDoorkeeperTest, ResultInsertsOnSecondMissOfTheSameKey) {
+  EnginePair engines(65, IndexOptions{});
+  const QueryCache& cache = engines.cache();
+  Rng rng(66);
+  const auto positions = GenerateQueryPositions(engines.cached.plan(), 2, &rng);
+  QueryScratch scratch;
+
+  const Point& q = positions[0];
+  const double r = 25.0;
+  const auto want_range = engines.uncached.Range(q, r);
+  ArmRecordingSentinels(&scratch);
+  EXPECT_EQ(engines.cached.Range(q, r, {}, &scratch), want_range);
+  EXPECT_TRUE(RecordingSentinelsIntact(scratch));
+  EXPECT_EQ(cache.ResultStats().misses, 1u);
+  EXPECT_EQ(cache.ResultStats().insertions, 0u);
+  EXPECT_EQ(cache.ResultStats().entries, 0u);
+  EXPECT_EQ(engines.cached.Range(q, r, {}, &scratch), want_range);
+  EXPECT_FALSE(RecordingSentinelsIntact(scratch));
+  EXPECT_EQ(cache.ResultStats().misses, 2u);
+  EXPECT_EQ(cache.ResultStats().insertions, 1u);
+  EXPECT_EQ(cache.ResultStats().entries, 1u);
+  EXPECT_EQ(engines.cached.Range(q, r, {}, &scratch), want_range);
+  EXPECT_EQ(cache.ResultStats().hits, 1u);
+  EXPECT_EQ(cache.ResultStats().insertions, 1u);
+
+  const Point& p = positions[1];
+  const size_t k = 5;
+  const auto want_knn = engines.uncached.Nearest(p, k);
+  ArmRecordingSentinels(&scratch);
+  ExpectSameNeighbors(engines.cached.Nearest(p, k, {}, &scratch), want_knn);
+  EXPECT_TRUE(RecordingSentinelsIntact(scratch));
+  EXPECT_EQ(scratch.collector.k(), k);  // no repair spares
+  EXPECT_EQ(cache.ResultStats().misses, 3u);
+  EXPECT_EQ(cache.ResultStats().insertions, 1u);
+  ExpectSameNeighbors(engines.cached.Nearest(p, k, {}, &scratch), want_knn);
+  EXPECT_FALSE(RecordingSentinelsIntact(scratch));
+  EXPECT_GT(scratch.collector.k(), k);
+  EXPECT_EQ(cache.ResultStats().misses, 4u);
+  EXPECT_EQ(cache.ResultStats().insertions, 2u);
+  EXPECT_EQ(cache.ResultStats().entries, 2u);
+  ExpectSameNeighbors(engines.cached.Nearest(p, k, {}, &scratch), want_knn);
+  EXPECT_EQ(cache.ResultStats().hits, 2u);
+  EXPECT_EQ(cache.ResultStats().insertions, 2u);
+}
+
+// The doorkeeper key carries the radius / k: the same point asked with a
+// different parameter is a first miss of a new key.
+TEST(QueryCacheDoorkeeperTest, OtherRadiusOrKIsNotASecondMiss) {
+  EnginePair engines(67, IndexOptions{});
+  const QueryCache& cache = engines.cache();
+  Rng rng(68);
+  const Point q = GenerateQueryPositions(engines.cached.plan(), 1, &rng)[0];
+  for (const double r : {10.0, 20.0, 30.0}) {
+    EXPECT_EQ(engines.cached.Range(q, r), engines.uncached.Range(q, r));
+  }
+  for (const size_t k : {3u, 4u, 6u}) {
+    ExpectSameNeighbors(engines.cached.Nearest(q, k),
+                        engines.uncached.Nearest(q, k));
+  }
+  EXPECT_EQ(cache.ResultStats().misses, 6u);
+  EXPECT_EQ(cache.ResultStats().insertions, 0u);
+  // The repeats are second misses of their own keys.
+  EXPECT_EQ(engines.cached.Range(q, 20.0), engines.uncached.Range(q, 20.0));
+  ExpectSameNeighbors(engines.cached.Nearest(q, 4),
+                      engines.uncached.Nearest(q, 4));
+  EXPECT_EQ(cache.ResultStats().insertions, 2u);
+}
+
+// An entry rejected on an epoch change is replaced by its re-solve at
+// once; the doorkeeper only governs keys without an entry.
+TEST(QueryCacheDoorkeeperTest, EpochRejectedEntryIsReinsertedOnItsResolve) {
+  EnginePair engines(69, IndexOptions{});
+  const QueryCache& cache = engines.cache();
+  Rng rng(70);
+  const Point q = GenerateQueryPositions(engines.cached.plan(), 1, &rng)[0];
+  const auto host = engines.cached.Locate(q);
+  ASSERT_TRUE(host.ok());
+  const double r = 20.0;
+  const size_t k = 4;
+  for (int fill = 0; fill < 2; ++fill) {
+    EXPECT_EQ(engines.cached.Range(q, r), engines.uncached.Range(q, r));
+    ExpectSameNeighbors(engines.cached.Nearest(q, k),
+                        engines.uncached.Nearest(q, k));
+  }
+  ASSERT_EQ(cache.ResultStats().entries, 2u);
+
+  // Churn one host-partition object past the journal window so neither
+  // entry can be repaired.
+  ObjectId mover = kInvalidId;
+  for (const IndoorObject& obj : engines.cached.index().objects().objects()) {
+    if (obj.partition == host.value()) {
+      mover = obj.id;
+      break;
+    }
+  }
+  ASSERT_NE(mover, kInvalidId);
+  const Partition& host_part = engines.cached.plan().partition(host.value());
+  for (size_t i = 0; i < ObjectStore::kChangeJournalCapacity + 8; ++i) {
+    const Point pos = RandomPointInPartition(host_part, &rng);
+    ASSERT_TRUE(engines.cached.MoveObject(mover, host.value(), pos).ok());
+    ASSERT_TRUE(engines.uncached.MoveObject(mover, host.value(), pos).ok());
+  }
+
+  const uint64_t insertions = cache.ResultStats().insertions;
+  EXPECT_EQ(engines.cached.Range(q, r), engines.uncached.Range(q, r));
+  ExpectSameNeighbors(engines.cached.Nearest(q, k),
+                      engines.uncached.Nearest(q, k));
+  EXPECT_EQ(cache.EpochRejects(), 2u);
+  EXPECT_EQ(cache.ResultStats().insertions, insertions + 2);
+  const uint64_t hits = cache.ResultStats().hits;
+  EXPECT_EQ(engines.cached.Range(q, r), engines.uncached.Range(q, r));
+  ExpectSameNeighbors(engines.cached.Nearest(q, k),
+                      engines.uncached.Nearest(q, k));
+  EXPECT_EQ(cache.ResultStats().hits, hits + 2);
+}
+
+// Positions served once each enter none of the three caches.
+TEST(QueryCacheDoorkeeperTest, FreshPositionStreamLeavesHostAndResultCachesEmpty) {
+  EnginePair engines(71, IndexOptions{});
+  const QueryCache& cache = engines.cache();
+  Rng rng(72);
+  const auto positions =
+      GenerateQueryPositions(engines.cached.plan(), 300, &rng);
+  const auto pairs = GeneratePositionPairs(engines.cached.plan(), 100, &rng);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const Point& q = positions[i];
+    if (i % 2 == 0) {
+      EXPECT_EQ(engines.cached.Range(q, 20.0),
+                engines.uncached.Range(q, 20.0));
+    } else {
+      ExpectSameNeighbors(engines.cached.Nearest(q, 5),
+                          engines.uncached.Nearest(q, 5));
+    }
+  }
+  for (const auto& [a, b] : pairs) {
+    EXPECT_EQ(engines.cached.Distance(a, b), engines.uncached.Distance(a, b));
+  }
+  for (const CacheStats& stats :
+       {cache.HostStats(), cache.ResultStats(), cache.FieldStats()}) {
+    EXPECT_GT(stats.misses, 0u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.insertions, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+  }
+}
+
+// Invalidate forgets every remembered first miss: after it, the same
+// misses are first misses again in all three caches.
+TEST(QueryCacheDoorkeeperTest, InvalidateClearsEveryDoorkeeper) {
+  EnginePair engines(73, IndexOptions{});
+  const QueryCache& cache = engines.cache();
+  Rng rng(74);
+  const auto positions = GenerateQueryPositions(engines.cached.plan(), 2, &rng);
+  const Point& located = positions[0];
+  const Point& ranged = positions[1];
+  const auto ranged_host = engines.uncached.Locate(ranged);
+  ASSERT_TRUE(ranged_host.ok());
+  const PartitionId v = ranged_host.value();
+  const std::vector<DoorId>& doors = engines.cached.plan().LeaveDoors(v);
+  GeodesicScratch geo;
+  std::vector<double> legs(doors.size());
+  // One miss in each cache: host, result (its host lookup is a second
+  // one-off key) and field.
+  auto miss_each = [&] {
+    engines.cached.Locate(located);
+    engines.cached.Range(ranged, 20.0);
+    cache.FieldLegs(FieldKind::kLeaveFrom, v, ranged, doors, &geo,
+                    legs.data());
+  };
+  miss_each();
+  cache.Invalidate();
+  miss_each();
+  EXPECT_EQ(cache.HostStats().insertions, 0u);
+  EXPECT_EQ(cache.ResultStats().insertions, 0u);
+  EXPECT_EQ(cache.FieldStats().insertions, 0u);
+  miss_each();
+  EXPECT_GT(cache.HostStats().insertions, 0u);
+  EXPECT_EQ(cache.ResultStats().insertions, 1u);
+  EXPECT_EQ(cache.FieldStats().insertions, 1u);
+}
+
+// A first-miss kNN solve collects exactly k; the recorded solve collects
+// k + repair spares and caches them. Both, the hit, and the cache-off
+// engine serve bit-identical answers on every door engine.
+TEST(QueryCacheDoorkeeperTest, FirstMissKnnMatchesRecordedAndUncachedOnEveryEngine) {
+  struct Engine {
+    const char* name;
+    bool hierarchy;
+    bool use_index_matrix;
+  };
+  for (const Engine& e : {Engine{"midx", false, true},
+                          Engine{"full_row", false, false},
+                          Engine{"hierarchy", true, true}}) {
+    IndexOptions options;
+    options.use_hierarchy = e.hierarchy;
+    options.hierarchy_cell_target = 8;
+    EnginePair engines(75, options);
+    KnnQueryOptions knn;
+    knn.use_index_matrix = e.use_index_matrix;
+    Rng rng(76);
+    const auto positions =
+        GenerateQueryPositions(engines.cached.plan(), 24, &rng);
+    QueryScratch scratch;
+    for (size_t i = 0; i < positions.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << e.name << " position " << i);
+      const Point& q = positions[i];
+      const size_t k = 1 + i % 8;
+      const auto want = engines.uncached.Nearest(q, k, knn);
+      const auto first = engines.cached.Nearest(q, k, knn, &scratch);
+      EXPECT_EQ(scratch.collector.k(), k);
+      const auto recorded = engines.cached.Nearest(q, k, knn, &scratch);
+      EXPECT_GT(scratch.collector.k(), k);
+      const auto hit = engines.cached.Nearest(q, k, knn, &scratch);
+      ExpectSameNeighbors(first, want);
+      ExpectSameNeighbors(recorded, want);
+      ExpectSameNeighbors(hit, want);
+    }
+    EXPECT_EQ(engines.cache().ResultStats().insertions, positions.size());
+    EXPECT_EQ(engines.cache().ResultStats().hits, positions.size());
+  }
 }
 
 // --------------------------------------------------------- eviction bound
@@ -574,6 +872,59 @@ TEST(QueryCacheConcurrencyTest, ConcurrentHitsAndMissesStayExact) {
   EXPECT_EQ(mismatches.load(), 0);
   const CacheStats stats = cached.index().query_cache()->FieldStats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
+}
+
+// Four readers race on the first, then the second miss of one point in
+// all three caches (run under TSan in CI). A lost race may only move an
+// insert one miss earlier; answers stay exact, the second round leaves
+// one entry per key, and a third round is all hits.
+TEST(QueryCacheConcurrencyTest, ReadersRaceOnFirstAndSecondMisses) {
+  EnginePair engines(125, IndexOptions{});
+  const QueryCache& cache = engines.cache();
+  Rng rng(126);
+  const Point q = GenerateQueryPositions(engines.cached.plan(), 1, &rng)[0];
+  const Point b = GenerateQueryPositions(engines.cached.plan(), 1, &rng)[0];
+  const auto want_range = engines.uncached.Range(q, 20.0);
+  const auto want_knn = engines.uncached.Nearest(q, 5);
+  const double want_distance = engines.uncached.Distance(q, b);
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  auto race = [&] {
+    std::atomic<int> ready{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&] {
+        QueryScratch scratch;
+        ++ready;
+        while (ready.load() < kThreads) std::this_thread::yield();
+        if (engines.cached.Range(q, 20.0, {}, &scratch) != want_range) {
+          ++mismatches;
+        }
+        const auto knn = engines.cached.Nearest(q, 5, {}, &scratch);
+        bool same = knn.size() == want_knn.size();
+        for (size_t j = 0; same && j < knn.size(); ++j) {
+          same = knn[j].id == want_knn[j].id &&
+                 knn[j].distance == want_knn[j].distance;
+        }
+        if (!same) ++mismatches;
+        if (engines.cached.Distance(q, b, &scratch) != want_distance) {
+          ++mismatches;
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+  };
+  race();  // first misses
+  race();  // second misses
+  EXPECT_EQ(cache.ResultStats().entries, 2u);
+  EXPECT_GT(cache.HostStats().entries, 0u);
+  EXPECT_GT(cache.FieldStats().entries, 0u);
+  const uint64_t result_hits = cache.ResultStats().hits;
+  const uint64_t insertions = cache.ResultStats().insertions;
+  race();  // hits
+  EXPECT_EQ(cache.ResultStats().hits, result_hits + 2 * kThreads);
+  EXPECT_EQ(cache.ResultStats().insertions, insertions);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ----------------------------------------------------- QueryScratch decay
